@@ -152,6 +152,8 @@ def certificate(c: Fraction, delta: float = 1.0) -> ConvergenceCert:
     c = Fraction(c)
     if c == 0:
         raise ValueError("c must be nonzero")
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite (got {delta})")
     if delta < 1.0:
         raise ValueError("delta must be at least 1")
     tau, _ = tau_constant()
@@ -266,6 +268,8 @@ def verify_growth_estimates(
     """
     if s.seed.case is SeriesCase.MIXED_I:
         raise ValueError("growth estimates cover quartic seeds only")
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite (got {delta})")
     if delta < 1.0:
         raise ValueError("delta must be at least 1")
     if samples < 2:

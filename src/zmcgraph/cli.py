@@ -10,16 +10,13 @@ Subcommands:
 * ``mesh``: triangulated export with causal vertex colors (PLY or OBJ).
 
 Exit codes: 0 success, 1 verification failure, 2 argument violation,
-3 certificate violation, 4 I/O failure.  ``ZMC_THREADS`` caps row-parallel
-grid evaluation.
+3 certificate violation, 4 I/O failure.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -75,21 +72,6 @@ def _grid(text: str) -> tuple[np.ndarray, np.ndarray]:
     if len(xs) < 2 or len(ys) < 2:
         raise argparse.ArgumentTypeError("grid needs at least 2 points per axis")
     return xs, ys
-
-
-def _n_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("ZMC_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_rows(fn, items):
-    n = _n_threads()
-    if n == 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def _poly_str(p: RationalPoly) -> str:
@@ -153,47 +135,6 @@ def cmd_construct(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _series_verdict_grid(
-    s: GraphSeries, xs, ys, tol: float, exact: bool
-) -> list[list[Causal]]:
-    if exact:
-
-        def row(x):
-            xf = Fraction(float(x))
-            out = []
-            for y in ys:
-                _, b = af_bf_exact(s, xf, Fraction(float(y)))
-                out.append(
-                    Causal.SPACELIKE
-                    if b > 0
-                    else (Causal.TIMELIKE if b < 0 else Causal.NULL)
-                )
-            return out
-
-    else:
-
-        def row(x):
-            out = []
-            for y in ys:
-                jet = psi_jet(s, float(x), float(y))
-                b = 1.0 - jet.px * jet.px - jet.py * jet.py
-                out.append(classify(b, tol).kind)
-            return out
-
-    return _map_rows(row, xs)
-
-
-def _surface_verdict_grid(e: catalog.SurfaceEntry, xs, ys, tol: float):
-    def row(u):
-        out = []
-        for v in ys:
-            _, b = first_form(e.jet(float(u), float(v)))
-            out.append(classify(b, tol).kind)
-        return out
-
-    return _map_rows(row, xs)
-
-
 def _summary_verdict(counts: dict[str, int], min_points: int = 5) -> str:
     ns, nt = counts["spacelike"], counts["timelike"]
     if ns >= min_points and nt >= min_points:
@@ -205,34 +146,51 @@ def _summary_verdict(counts: dict[str, int], min_points: int = 5) -> str:
     return "light-like"
 
 
-def _resolve_surface(args):
-    """Returns (kind, payload): ('series', GraphSeries) or ('catalog', entry)."""
+def _resolve_source(args, n: int):
+    """The --coeffs or --surface source of ``classify`` and ``mesh``.
+
+    Returns (label, xs, ys, sample, series).  ``sample`` maps a grid point
+    (x, y) to ((x, y, t), B) in float arithmetic; ``series`` is the
+    GraphSeries for --coeffs and None for a catalog surface.  Without --grid
+    the grid is n x n points spanning 0.999 of the delta = 1 certified
+    rectangle (series) or the entry's sampling domain (catalog).
+    """
     if args.coeffs:
-        return "series", _load_series(args.coeffs)
-    name = args.surface
-    if name.startswith("catalog:"):
-        name = name.split(":", 1)[1]
-    return "catalog", catalog.entry(name)
+        s = _load_series(args.coeffs)
+        label = f"series case {s.seed.case.value} (c = {s.seed.c})"
+        half = 0.999 * bounds_mod.u_halfwidth(s.seed.c, 0.0)
+        domain = ((-half, half), (-0.999, 0.999))
+
+        def sample(x, y):
+            jet = psi_jet(s, float(x), float(y))
+            b = 1.0 - jet.px * jet.px - jet.py * jet.py
+            return (float(x), float(y), jet.value), b
+
+    else:
+        s = None
+        e = catalog.entry(args.surface.removeprefix("catalog:"))
+        label, domain = f"catalog:{e.name}", e.domain
+
+        def sample(u, v):
+            j = e.jet(float(u), float(v))
+            return tuple(j.f), first_form(j)[1]
+
+    if args.grid is not None:
+        xs, ys = args.grid
+    else:
+        xs, ys = (np.linspace(lo, hi, n) for lo, hi in domain)
+    return label, xs, ys, sample, s
 
 
 def cmd_classify(args) -> int:
-    kind, obj = _resolve_surface(args)
-    if args.grid is not None:
-        xs, ys = args.grid
-    elif kind == "series":
-        half = 0.999 * bounds_mod.u_halfwidth(obj.seed.c, 0.0)
-        xs = np.linspace(-half, half, 21)
-        ys = np.linspace(-0.999, 0.999, 21)
-    else:
-        (u0, u1), (v0, v1) = obj.domain
-        xs, ys = np.linspace(u0, u1, 21), np.linspace(v0, v1, 21)
-
+    label, xs, ys, sample, s = _resolve_source(args, 21)
+    if s is None and (args.certified or args.exact):
+        flag = "--certified" if args.certified else "--exact"
+        print(f"error: {flag} applies to coefficient series", file=sys.stderr)
+        return EXIT_ARGS
     if args.certified:
-        if kind != "series":
-            print("error: --certified applies to coefficient series", file=sys.stderr)
-            return EXIT_ARGS
         xmax, ymax = float(np.max(np.abs(xs))), float(np.max(np.abs(ys)))
-        if not bounds_mod.u_membership(obj.seed.c, xmax, ymax):
+        if not bounds_mod.u_membership(s.seed.c, xmax, ymax):
             print(
                 f"error: grid corner ({xmax:g}, {ymax:g}) lies outside the "
                 "certified domain",
@@ -240,14 +198,21 @@ def cmd_classify(args) -> int:
             )
             return EXIT_CERT
 
-    exact = args.exact if args.exact is not None else (kind == "series")
-    if kind == "series":
-        grid = _series_verdict_grid(obj, xs, ys, args.tol, exact)
-        label = f"series case {obj.seed.case.value} (c = {obj.seed.c})"
-    else:
-        grid = _surface_verdict_grid(obj, xs, ys, args.tol)
-        label = f"catalog:{obj.name}"
+    exact = args.exact if args.exact is not None else s is not None
+    if exact:
 
+        def kind_at(x, y):
+            _, b = af_bf_exact(s, Fraction(float(x)), Fraction(float(y)))
+            if b == 0:
+                return Causal.NULL
+            return Causal.SPACELIKE if b > 0 else Causal.TIMELIKE
+
+    else:
+
+        def kind_at(x, y):
+            return classify(sample(x, y)[1], args.tol).kind
+
+    grid = [[kind_at(x, y) for y in ys] for x in xs]
     counts = {"spacelike": 0, "timelike": 0, "null": 0}
     for r in grid:
         for kindv in r:
@@ -415,32 +380,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_mesh(args) -> int:
-    kind, obj = _resolve_surface(args)
-    if args.grid is not None:
-        xs, ys = args.grid
-    elif kind == "series":
-        half = 0.999 * bounds_mod.u_halfwidth(obj.seed.c, 0.0)
-        xs = np.linspace(-half, half, 33)
-        ys = np.linspace(-0.999, 0.999, 33)
-    else:
-        (u0, u1), (v0, v1) = obj.domain
-        xs, ys = np.linspace(u0, u1, 33), np.linspace(v0, v1, 33)
+    _, xs, ys, sample, _ = _resolve_source(args, 33)
 
-    if kind == "series":
+    def evaluate(x, y):
+        point, b = sample(x, y)
+        return point, classify(b, args.tol).kind
 
-        def evaluate(x, y):
-            jet = psi_jet(obj, float(x), float(y))
-            b = 1.0 - jet.px * jet.px - jet.py * jet.py
-            return (float(x), float(y), jet.value), classify(b, args.tol).kind
-
-    else:
-
-        def evaluate(u, v):
-            j = obj.jet(float(u), float(v))
-            _, b = first_form(j)
-            return tuple(j.f), classify(b, args.tol).kind
-
-    m = mesh_mod.build_grid_mesh(evaluate, xs, ys, row_mapper=_map_rows)
+    m = mesh_mod.build_grid_mesh(evaluate, xs, ys)
     try:
         if args.format == "obj":
             mesh_mod.write_obj(m, args.out)

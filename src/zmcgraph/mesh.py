@@ -41,28 +41,20 @@ def build_grid_mesh(
     evaluate: Callable[[float, float], tuple[tuple[float, float, float], Causal]],
     us: np.ndarray,
     vs: np.ndarray,
-    row_mapper: Callable = map,
 ) -> Mesh:
     """Mesh a callable (u, v) -> ((x, y, t), causal kind) over a grid.
 
-    ``row_mapper`` applies the per-row evaluation and may be a parallel map.
+    Vertex i * len(vs) + j is the sample at (us[i], vs[j]).
     """
     us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
-    nu, nv = len(us), len(vs)
-    verts = np.empty((nu * nv, 6))
-    rows = list(row_mapper(lambda u: [evaluate(u, v) for v in vs], us))
-    for i, row in enumerate(rows):
-        for j, (point, kind) in enumerate(row):
-            verts[i * nv + j, :3] = point
-            verts[i * nv + j, 3:] = CAUSAL_COLORS[kind]
-    faces = []
-    for i in range(nu - 1):
-        for j in range(nv - 1):
-            a = i * nv + j
-            b = a + nv
-            faces.append((a, b, a + 1))
-            faces.append((a + 1, b, b + 1))
-    return Mesh(verts, np.array(faces, dtype=np.int64).reshape(-1, 3))
+    nv = len(vs)
+    samples = (evaluate(u, v) for u in us for v in vs)
+    verts = [(*point, *CAUSAL_COLORS[kind]) for point, kind in samples]
+    # each grid cell (a = i nv + j) splits into (a, b, a+1) and (a+1, b, b+1)
+    a = (np.arange(len(us) - 1)[:, None] * nv + np.arange(nv - 1)).ravel()
+    b = a + nv
+    faces = np.stack([a, b, a + 1, a + 1, b, b + 1], axis=1)
+    return Mesh(verts, faces)
 
 
 # ---------------------------------------------------------------------------
@@ -88,16 +80,39 @@ def _ply_header(n_verts: int, n_faces: int, binary: bool) -> str:
     )
 
 
+# binary_little_endian layouts of one vertex and one triangle
+_PLY_VERTEX = np.dtype([("xyz", "<f4", (3,)), ("rgb", "u1", (3,))])
+_PLY_FACE = np.dtype([("n", "u1"), ("idx", "<i4", (3,))])
+
+
+def _ply_binary_body(mesh: Mesh) -> bytes:
+    xyz = mesh.vertices[:, :3]
+    with np.errstate(over="ignore"):
+        xyz32 = xyz.astype("<f4")
+    bad = np.isinf(xyz32) & ~np.isinf(xyz)
+    if bad.any():
+        i, k = np.argwhere(bad)[0]
+        raise ValueError(
+            f"vertex {i} coordinate {'xyz'[k]} = {xyz[i, k]:g} is out of "
+            "float32 range for binary PLY"
+        )
+    rgb = mesh.vertices[:, 3:]
+    if not ((rgb >= 0) & (rgb < 256)).all():
+        raise ValueError("vertex colors must lie in 0..255")
+    verts = np.empty(len(xyz), dtype=_PLY_VERTEX)
+    verts["xyz"], verts["rgb"] = xyz32, rgb
+    faces = np.empty(len(mesh.faces), dtype=_PLY_FACE)
+    faces["n"], faces["idx"] = 3, mesh.faces
+    return verts.tobytes() + faces.tobytes()
+
+
 def write_ply(mesh: Mesh, path: str, binary: bool = False) -> None:
     header = _ply_header(len(mesh.vertices), len(mesh.faces), binary)
     if binary:
+        body = _ply_binary_body(mesh)
         with open(path, "wb") as fh:
             fh.write(header.encode("ascii"))
-            for v in mesh.vertices:
-                fh.write(struct.pack("<fff", v[0], v[1], v[2]))
-                fh.write(struct.pack("<BBB", int(v[3]), int(v[4]), int(v[5])))
-            for f in mesh.faces:
-                fh.write(struct.pack("<Biii", 3, int(f[0]), int(f[1]), int(f[2])))
+            fh.write(body)
         return
     with open(path, "w") as fh:
         fh.write(header)

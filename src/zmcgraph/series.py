@@ -194,7 +194,6 @@ class GraphSeries:
     seed: SeedCondition
     order: int
     betas: dict[int, RationalPoly]
-    alpha: AlphaFamily = ALPHA_ZERO
     _ftab: list[tuple[int, list[float], list[float], list[float]]] | None = field(
         default=None, repr=False, compare=False
     )
@@ -218,6 +217,10 @@ class GraphSeries:
 # ---------------------------------------------------------------------------
 # the convolution recursion (quartic seeds only)
 # ---------------------------------------------------------------------------
+
+# highest order either construction path accepts: order 48 already takes
+# seconds of exact Fraction work, and the cost grows steeply beyond it
+MAX_ORDER = 48
 
 
 def pqr_terms(
@@ -285,6 +288,8 @@ def series_from_recursion(seed: SeedCondition, order: int) -> GraphSeries:
         )
     if order < 5:
         raise ValueError("order must be at least 5")
+    if order > MAX_ORDER:
+        raise ValueError(f"order {order} exceeds the cost cap {MAX_ORDER}")
     betas = seed.seed_betas()
     for k in range(5, order + 1):
         p, q, r = pqr_terms(k, betas)
@@ -298,9 +303,7 @@ def series_from_recursion(seed: SeedCondition, order: int) -> GraphSeries:
 # ---------------------------------------------------------------------------
 
 
-def series_from_expansion(
-    seed: SeedCondition, order: int, max_order: int = 48
-) -> GraphSeries:
+def series_from_expansion(seed: SeedCondition, order: int) -> GraphSeries:
     """Build the series by expanding the graph ZMC equation order by order.
 
     Writes psi = sum_j b_j x^j with b_0 = y and b_j = beta_j / j, forms the
@@ -312,8 +315,8 @@ def series_from_expansion(
     """
     if order < 4:
         raise ValueError("order must be at least 4")
-    if order > max_order:
-        raise ValueError(f"order {order} exceeds the cost cap {max_order}")
+    if order > MAX_ORDER:
+        raise ValueError(f"order {order} exceeds the cost cap {MAX_ORDER}")
     b: dict[int, RationalPoly] = {0: RationalPoly([0, 1]), 1: ZERO_POLY, 2: ZERO_POLY}
     for k, bk in seed.seed_betas().items():
         b[k] = bk.scale(Fraction(1, k))
@@ -542,7 +545,7 @@ def homothety(s: GraphSeries, m: Fraction) -> GraphSeries:
         new_betas[k] = RationalPoly(
             [c * m ** (k - 1 + d) for d, c in enumerate(bk.coeffs)]
         )
-    return GraphSeries(new_seed, s.order, new_betas, s.alpha)
+    return GraphSeries(new_seed, s.order, new_betas)
 
 
 def homothety_graph(

@@ -77,6 +77,9 @@ class TestCertificate:
             certificate(Fraction(0), 1.0)
         with pytest.raises(ValueError):
             certificate(Fraction(1), 0.5)
+        for delta in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                certificate(Fraction(1), delta)
 
     def test_monotonicity(self):
         deltas = [1.0, 1.5, 2.0, 3.0, 5.0, 8.0]
@@ -164,6 +167,9 @@ class TestGrowthEstimates:
     def test_input_guards(self, series_ii_cm1_n12):
         with pytest.raises(ValueError):
             verify_growth_estimates(series_ii_cm1_n12, delta=0.5)
+        for delta in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                verify_growth_estimates(series_ii_cm1_n12, delta=delta)
         with pytest.raises(ValueError):
             verify_growth_estimates(series_ii_cm1_n12, samples=1)
 

@@ -1,5 +1,6 @@
 """Mesh export formats and the command-line interface contract."""
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -7,7 +8,14 @@ import pytest
 from zmcgraph import catalog
 from zmcgraph.cli import main
 from zmcgraph.lorentz import Causal
-from zmcgraph.mesh import Mesh, build_grid_mesh, read_ply, write_obj, write_ply
+from zmcgraph.mesh import (
+    CAUSAL_COLORS,
+    Mesh,
+    build_grid_mesh,
+    read_ply,
+    write_obj,
+    write_ply,
+)
 
 
 def run(*argv) -> int:
@@ -239,11 +247,99 @@ class TestMeshCommand:
                    "--out", "/nonexistent-dir/x.ply") == 4
 
 
-class TestThreadedGrids:
-    def test_row_parallel_matches_serial(self, coeffs_ii, tmp_path, monkeypatch):
-        serial = tmp_path / "serial.json"
-        run("classify", "--coeffs", coeffs_ii, "--out", str(serial))
-        monkeypatch.setenv("ZMC_THREADS", "4")
-        threaded = tmp_path / "threaded.json"
-        run("classify", "--coeffs", coeffs_ii, "--out", str(threaded))
-        assert json.load(open(str(serial))) == json.load(open(str(threaded)))
+def loop_grid_mesh(evaluate, us, vs):
+    """Reference: the per-point vertex writes and nested face loop."""
+    nu, nv = len(us), len(vs)
+    verts = np.empty((nu * nv, 6))
+    for i, u in enumerate(us):
+        for j, v in enumerate(vs):
+            point, kind = evaluate(u, v)
+            verts[i * nv + j, :3] = point
+            verts[i * nv + j, 3:] = CAUSAL_COLORS[kind]
+    faces = []
+    for i in range(nu - 1):
+        for j in range(nv - 1):
+            a = i * nv + j
+            b = a + nv
+            faces.append((a, b, a + 1))
+            faces.append((a + 1, b, b + 1))
+    return verts, np.array(faces, dtype=np.int64).reshape(-1, 3)
+
+
+def struct_ply_body(mesh):
+    """Reference: the binary PLY body packed one vertex and one face at a time."""
+    out = []
+    for v in mesh.vertices:
+        out.append(struct.pack("<fff", v[0], v[1], v[2]))
+        out.append(struct.pack("<BBB", int(v[3]), int(v[4]), int(v[5])))
+    for f in mesh.faces:
+        out.append(struct.pack("<Biii", 3, int(f[0]), int(f[1]), int(f[2])))
+    return b"".join(out)
+
+
+def three_colour_evaluate(u, v):
+    kinds = (Causal.SPACELIKE, Causal.TIMELIKE, Causal.NULL)
+    return (u, v, np.sin(3 * u) * v), kinds[int(10 * (u + v)) % 3]
+
+
+class TestArrayPaths:
+    @pytest.mark.parametrize("nu,nv", [(2, 2), (7, 5), (4, 9)])
+    def test_grid_mesh_matches_loop_build(self, nu, nv):
+        us, vs = np.linspace(-1, 1.3, nu), np.linspace(0.1, 0.7, nv)
+        m = build_grid_mesh(three_colour_evaluate, us, vs)
+        verts, faces = loop_grid_mesh(three_colour_evaluate, us, vs)
+        assert np.array_equal(m.vertices, verts)
+        assert np.array_equal(m.faces, faces)
+        assert m.faces.dtype == np.int64
+
+    def test_binary_ply_matches_struct_writer(self, tmp_path):
+        m = build_grid_mesh(three_colour_evaluate, np.linspace(-1, 1, 6),
+                            np.linspace(0, 1, 5))
+        assert {tuple(v[3:]) for v in m.vertices} == set(CAUSAL_COLORS.values())
+        # values that round, underflow, sit at the float32 edge or are not finite
+        fmax = float(np.finfo(np.float32).max)
+        m.vertices[:6, 2] = [0.1, 1e-40, -0.0, fmax + 2.0**102, -np.inf, np.nan]
+        path = tmp_path / "m.ply"
+        write_ply(m, str(path), binary=True)
+        data = path.read_bytes()
+        body = struct_ply_body(m)
+        assert data.endswith(b"end_header\n" + body)
+
+    def test_binary_ply_rejects_bad_values(self, tmp_path):
+        path = tmp_path / "m.ply"
+        m = build_grid_mesh(three_colour_evaluate, [0.0, 1.0], [0.0, 1.0])
+        m.vertices[3, 1] = -1e39
+        with pytest.raises(ValueError, match="vertex 3 coordinate y"):
+            write_ply(m, str(path), binary=True)
+        m.vertices[3, 1], m.vertices[2, 4] = 0.0, 256.0
+        with pytest.raises(ValueError, match="colors"):
+            write_ply(m, str(path), binary=True)
+        assert not path.exists()
+
+
+@pytest.fixture(scope="module")
+def coeffs_iii(tmp_path_factory):
+    path = tmp_path_factory.mktemp("coeffs") / "iii.json"
+    assert run("construct", "--case", "iii", "--c", "1", "--out", str(path)) == 0
+    return str(path)
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["bounds", "--c", "1", "--delta", "nan"], "finite"),
+            (["bounds", "--c", "1", "--delta", "inf"], "finite"),
+            (["construct", "--case", "iii", "--c", "1", "--order", "49"], "cost cap"),
+            (["classify", "--surface", "catalog:light_cone", "--exact"],
+             "--exact applies to coefficient series"),
+            (["mesh", "--coeffs", "{iii}", "--grid=-300:300:3,-1:1:3",
+              "--ply-binary", "--out", "{out}"], "out of float32 range"),
+        ],
+    )
+    def test_exits_2(self, argv, message, coeffs_iii, tmp_path, capsys):
+        out = tmp_path / "out.ply"
+        argv = [a.format(iii=coeffs_iii, out=out) for a in argv]
+        assert run(*argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()

@@ -156,6 +156,8 @@ class TestExpansionOracle:
     def test_cost_cap(self):
         with pytest.raises(ValueError, match="cost cap"):
             series_from_expansion(seed("iii", 1), 50)
+        with pytest.raises(ValueError, match="cost cap"):
+            series_from_recursion(seed("iii", 1), 49)
         with pytest.raises(ValueError, match="order"):
             series_from_expansion(seed("iii", 1), 3)
 
