@@ -175,12 +175,16 @@ def u_halfwidth(c: Fraction, y: float) -> float:
     C_delta is strictly increasing in delta, so the widest admissible
     rectangle through height y is the one with delta = max(1, |y| + eta).
     """
+    if not math.isfinite(y):
+        raise ValueError(f"y must be finite (got {y})")
     delta = max(1.0, abs(y) + _ETA)
     return 1.0 / (math.sqrt(delta) * growth_constant(c, delta))
 
 
 def u_membership(c: Fraction, x: float, y: float) -> bool:
     """Whether (x, y) lies in the certified union U = U_(delta>=1) V_delta."""
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite (got {x})")
     return abs(x) < u_halfwidth(c, y)
 
 

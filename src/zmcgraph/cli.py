@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import catalog, mesh as mesh_mod
-from .lorentz import Causal, classify, first_form
+from .lorentz import Causal, classify, first_form, graph_af_bf
 from .poly import RationalPoly
 from .series import (
     GraphSeries,
@@ -63,8 +63,11 @@ def _grid(text: str) -> tuple[np.ndarray, np.ndarray]:
         xpart, ypart = text.split(",")
         x0, x1, nx = xpart.split(":")
         y0, y1, ny = ypart.split(":")
-        xs = np.linspace(float(x0), float(x1), int(nx))
-        ys = np.linspace(float(y0), float(y1), int(ny))
+        ends = [float(v) for v in (x0, x1, y0, y1)]
+        if not np.isfinite(ends).all():
+            raise ValueError("bounds must be finite")
+        xs = np.linspace(ends[0], ends[1], int(nx))
+        ys = np.linspace(ends[2], ends[3], int(ny))
     except ValueError as e:
         raise argparse.ArgumentTypeError(
             f"grid must look like X0:X1:NX,Y0:Y1:NY (got {text!r}: {e})"
@@ -149,37 +152,45 @@ def _summary_verdict(counts: dict[str, int], min_points: int = 5) -> str:
 def _resolve_source(args, n: int):
     """The --coeffs or --surface source of ``classify`` and ``mesh``.
 
-    Returns (label, xs, ys, sample, series).  ``sample`` maps a grid point
-    (x, y) to ((x, y, t), B) in float arithmetic; ``series`` is the
+    Returns (label, xs, ys, sample, series).  ``sample(X, Y)`` maps the whole
+    ``np.meshgrid(xs, ys, indexing="ij")`` to the float arrays of surface
+    points (x, y, t), shaped X.shape + (3,), and of B; ``series`` is the
     GraphSeries for --coeffs and None for a catalog surface.  Without --grid
     the grid is n x n points spanning 0.999 of the delta = 1 certified
     rectangle (series) or the entry's sampling domain (catalog).
     """
+    classify(0.0, args.tol)  # rejects a bad --tol before any work or output
     if args.coeffs:
         s = _load_series(args.coeffs)
         label = f"series case {s.seed.case.value} (c = {s.seed.c})"
         half = 0.999 * bounds_mod.u_halfwidth(s.seed.c, 0.0)
         domain = ((-half, half), (-0.999, 0.999))
 
-        def sample(x, y):
-            jet = psi_jet(s, float(x), float(y))
-            b = 1.0 - jet.px * jet.px - jet.py * jet.py
-            return (float(x), float(y), jet.value), b
+        def sample(X, Y):
+            jet = psi_jet(s, X, Y)
+            return np.stack([X, Y, jet.value], axis=-1), graph_af_bf(jet)[1]
 
     else:
         s = None
         e = catalog.entry(args.surface.removeprefix("catalog:"))
         label, domain = f"catalog:{e.name}", e.domain
 
-        def sample(u, v):
-            j = e.jet(float(u), float(v))
-            return tuple(j.f), first_form(j)[1]
+        def sample(U, V):
+            points, B = np.empty(U.shape + (3,)), np.empty(U.shape)
+            for i in np.ndindex(U.shape):
+                j = e.jet(float(U[i]), float(V[i]))
+                points[i], B[i] = j.f, first_form(j)[1]
+            return points, B
 
     if args.grid is not None:
         xs, ys = args.grid
     else:
         xs, ys = (np.linspace(lo, hi, n) for lo, hi in domain)
     return label, xs, ys, sample, s
+
+
+def _kinds(b: list[list], tol: float) -> list[list[Causal]]:
+    return [[classify(v, tol).kind for v in row] for row in b]
 
 
 def cmd_classify(args) -> int:
@@ -199,24 +210,13 @@ def cmd_classify(args) -> int:
             return EXIT_CERT
 
     exact = args.exact if args.exact is not None else s is not None
-    if exact:
-
-        def kind_at(x, y):
-            _, b = af_bf_exact(s, Fraction(float(x)), Fraction(float(y)))
-            if b == 0:
-                return Causal.NULL
-            return Causal.SPACELIKE if b > 0 else Causal.TIMELIKE
-
+    if exact:  # exact B, so null only where B is 0
+        b = [[af_bf_exact(s, Fraction(x), Fraction(y))[1] for y in ys] for x in xs]
+        grid = _kinds(b, 0)
     else:
-
-        def kind_at(x, y):
-            return classify(sample(x, y)[1], args.tol).kind
-
-    grid = [[kind_at(x, y) for y in ys] for x in xs]
-    counts = {"spacelike": 0, "timelike": 0, "null": 0}
-    for r in grid:
-        for kindv in r:
-            counts[kindv.value] += 1
+        b = sample(*np.meshgrid(xs, ys, indexing="ij"))[1]
+        grid = _kinds(b.tolist(), args.tol)
+    counts = {k.value: sum(row.count(k) for row in grid) for k in Causal}
     verdict = _summary_verdict(counts)
     total = sum(counts.values())
     print(f"{label}: {total} points")
@@ -240,12 +240,7 @@ def cmd_classify(args) -> int:
             "".join(k.value[0] for k in row) for row in grid
         ],
         "columns": [
-            {
-                "x": float(x),
-                "spacelike": sum(k is Causal.SPACELIKE for k in row),
-                "timelike": sum(k is Causal.TIMELIKE for k in row),
-                "null": sum(k is Causal.NULL for k in row),
-            }
+            {"x": float(x), **{k.value: row.count(k) for k in Causal}}
             for x, row in zip(xs, grid)
         ],
     }
@@ -382,9 +377,9 @@ def cmd_verify(args) -> int:
 def cmd_mesh(args) -> int:
     _, xs, ys, sample, _ = _resolve_source(args, 33)
 
-    def evaluate(x, y):
-        point, b = sample(x, y)
-        return point, classify(b, args.tol).kind
+    def evaluate(X, Y):
+        points, b = sample(X, Y)
+        return points, _kinds(b.tolist(), args.tol)
 
     m = mesh_mod.build_grid_mesh(evaluate, xs, ys)
     try:

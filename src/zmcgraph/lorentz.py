@@ -143,13 +143,15 @@ def graph_af_bf(g: GraphJet) -> tuple[float, float]:
 
     A = (1 - py^2) pxx + 2 px py pxy + (1 - px^2) pyy
     B = 1 - px^2 - py^2
+
+    Integer literals keep Fraction jets exact and serve float and array jets.
     """
     A = (
-        (1.0 - g.py * g.py) * g.pxx
-        + 2.0 * (g.px * g.py) * g.pxy
-        + (1.0 - g.px * g.px) * g.pyy
+        (1 - g.py * g.py) * g.pxx
+        + 2 * (g.px * g.py) * g.pxy
+        + (1 - g.px * g.px) * g.pyy
     )
-    B = 1.0 - g.px * g.px - g.py * g.py
+    B = 1 - g.px * g.px - g.py * g.py
     return A, B
 
 
@@ -190,8 +192,8 @@ def linear_reparametrize(j: Jet2, J: Sequence[Sequence[float]]) -> Jet2:
 
 def classify(B: float, tol: float = 1e-10) -> CausalVerdict:
     """Causal verdict for a single B value with an absolute null band."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and nonnegative (got {tol})")
     if B > tol:
         kind = Causal.SPACELIKE
     elif B < -tol:

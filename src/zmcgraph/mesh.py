@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,18 +38,21 @@ class Mesh:
 
 
 def build_grid_mesh(
-    evaluate: Callable[[float, float], tuple[tuple[float, float, float], Causal]],
+    evaluate: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, Sequence]],
     us: np.ndarray,
     vs: np.ndarray,
 ) -> Mesh:
-    """Mesh a callable (u, v) -> ((x, y, t), causal kind) over a grid.
+    """Mesh a grid function over us x vs with one ``evaluate`` call.
 
+    ``evaluate(U, V)`` takes ``np.meshgrid(us, vs, indexing="ij")`` and returns
+    the points (x, y, t), shaped U.shape + (3,), and the rows of causal kinds.
     Vertex i * len(vs) + j is the sample at (us[i], vs[j]).
     """
     us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
     nv = len(vs)
-    samples = (evaluate(u, v) for u in us for v in vs)
-    verts = [(*point, *CAUSAL_COLORS[kind]) for point, kind in samples]
+    points, kinds = evaluate(*np.meshgrid(us, vs, indexing="ij"))
+    colors = [CAUSAL_COLORS[kind] for row in kinds for kind in row]
+    verts = np.column_stack([np.reshape(points, (-1, 3)), colors])
     # each grid cell (a = i nv + j) splits into (a, b, a+1) and (a+1, b, b+1)
     a = (np.arange(len(us) - 1)[:, None] * nv + np.arange(nv - 1)).ravel()
     b = a + nv

@@ -164,9 +164,6 @@ class RationalPoly:
             v = v * y + c
         return v
 
-    def float_coeffs(self) -> list[float]:
-        return [float(c) for c in self.coeffs]
-
     # -- serialization ------------------------------------------------
 
     def to_json(self) -> list[str]:

@@ -25,12 +25,15 @@ measurements need to be immune to double-precision noise.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .lorentz import GraphJet
+import numpy as np
+
+from .lorentz import GraphJet, graph_af_bf
 from .poly import RationalPoly, ZERO_POLY
 
 # ---------------------------------------------------------------------------
@@ -187,31 +190,30 @@ class GraphSeries:
     """Truncated graph series psi(x, y) = y + sum_k beta_k(y) x^k / k.
 
     ``betas`` maps every k in 3..order to the exact coefficient polynomial
-    beta_k.  Values are immutable by convention once constructed; the float
-    coefficient tables are built lazily and cached.
+    beta_k.  Values are immutable by convention once constructed.  The jet
+    table, one row (k, beta_k, beta_k', beta_k'') of coefficient lists per
+    nonzero beta_k, exact and as floats, is built on first use and cached.
     """
 
     seed: SeedCondition
     order: int
     betas: dict[int, RationalPoly]
-    _ftab: list[tuple[int, list[float], list[float], list[float]]] | None = field(
-        default=None, repr=False, compare=False
-    )
+    _tables: tuple[list, list] | None = field(default=None, repr=False, compare=False)
 
     def beta(self, k: int) -> RationalPoly:
         return self.betas[k]
 
-    def _float_tables(self):
-        if self._ftab is None:
-            tab = []
+    def _jet_tables(self) -> tuple[list, list]:
+        if self._tables is None:
+            exact = []
             for k in sorted(self.betas):
                 b = self.betas[k]
-                if b.is_zero:
-                    continue
-                bd = b.derivative()
-                tab.append((k, b.float_coeffs(), bd.float_coeffs(), bd.derivative().float_coeffs()))
-            self._ftab = tab
-        return self._ftab
+                if not b.is_zero:
+                    bd = b.derivative()
+                    exact.append((k, b.coeffs, bd.coeffs, bd.derivative().coeffs))
+            floats = [(k, *([float(c) for c in cs] for cs in row)) for k, *row in exact]
+            self._tables = exact, floats
+        return self._tables
 
 
 # ---------------------------------------------------------------------------
@@ -382,31 +384,45 @@ def _zmc_x_coefficient(b: Mapping[int, RationalPoly], k: int) -> RationalPoly:
 # ---------------------------------------------------------------------------
 
 
-def _horner(coeffs: Sequence[float], y: float) -> float:
-    v = 0.0
+def _horner(coeffs: Sequence, y):
+    v = 0
     for c in reversed(coeffs):
         v = v * y + c
     return v
 
 
-def psi_jet(s: GraphSeries, x: float, y: float) -> GraphJet:
-    """Float jet (value and first/second partials) of the truncated series."""
+def _jet(table, x, y, power) -> tuple:
+    """(value, px, py, pxx, pxy, pyy) of y + sum_k beta_k(y) x^k / k.
+
+    Integer literals only, so one body serves Fraction, float and ndarray
+    arguments; ``power(x, n)`` is x to the n-th power.
+    """
     value = y
-    px = py1 = pxx = pxy = pyy = 0.0
-    for k, cb, cbd, cbdd in s._float_tables():
-        bk = _horner(cb, y)
-        bdk = _horner(cbd, y)
-        bddk = _horner(cbdd, y)
-        xk2 = x ** (k - 2)
+    px = py1 = pxx = pxy = pyy = 0
+    for k, cb, cbd, cbdd in table:
+        bk, bdk, bddk = _horner(cb, y), _horner(cbd, y), _horner(cbdd, y)
+        xk2 = power(x, k - 2)
         xk1 = xk2 * x
         xk = xk1 * x
-        value += bk * xk / k
-        px += bk * xk1
-        py1 += bdk * xk / k
-        pxx += (k - 1) * bk * xk2
-        pxy += bdk * xk1
-        pyy += bddk * xk / k
-    return GraphJet(value, px, 1.0 + py1, pxx, pxy, pyy)
+        # no +=: value starts as the caller's y, which an in-place add would change
+        value = value + bk * xk / k
+        px = px + bk * xk1
+        py1 = py1 + bdk * xk / k
+        pxx = pxx + (k - 1) * bk * xk2
+        pxy = pxy + bdk * xk1
+        pyy = pyy + bddk * xk / k
+    return value, px, 1 + py1, pxx, pxy, pyy
+
+
+def psi_jet(s: GraphSeries, x, y) -> GraphJet:
+    """Float jet (value and first/second partials) of the truncated series.
+
+    x and y are floats, or equal-shape arrays for a whole grid in one call.
+    ``np.float_power`` runs the C library's pow on scalars and array elements
+    alike (numpy's ``**`` on arrays uses a vectorised pow that can differ in
+    the last bit), so an array call equals per-point calls bit for bit.
+    """
+    return GraphJet(*_jet(s._jet_tables()[1], x, y, np.float_power))
 
 
 def psi_eval_exact(s: GraphSeries, x: Fraction, y: Fraction) -> Fraction:
@@ -423,33 +439,12 @@ def graph_jet_exact(
     s: GraphSeries, x: Fraction, y: Fraction
 ) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction, Fraction]:
     """Exact rational jet (value, px, py, pxx, pxy, pyy) of the truncation."""
-    x, y = Fraction(x), Fraction(y)
-    value = y
-    px = pxx = pxy = pyy = Fraction(0)
-    py = Fraction(1)
-    for k, bk in s.betas.items():
-        if bk.is_zero:
-            continue
-        bd = bk.derivative()
-        bv, bdv, bddv = bk(y), bd(y), bd.derivative()(y)
-        xk2 = x ** (k - 2)
-        xk1 = xk2 * x
-        xk = xk1 * x
-        value += bv * xk / k
-        px += bv * xk1
-        py += bdv * xk / k
-        pxx += (k - 1) * bv * xk2
-        pxy += bdv * xk1
-        pyy += bddv * xk / k
-    return value, px, py, pxx, pxy, pyy
+    return _jet(s._jet_tables()[0], Fraction(x), Fraction(y), operator.pow)
 
 
 def af_bf_exact(s: GraphSeries, x: Fraction, y: Fraction) -> tuple[Fraction, Fraction]:
     """Exact ZMC residual and causal field of the truncation at (x, y)."""
-    _, px, py, pxx, pxy, pyy = graph_jet_exact(s, x, y)
-    a = (1 - py * py) * pxx + 2 * px * py * pxy + (1 - px * px) * pyy
-    b = 1 - px * px - py * py
-    return a, b
+    return graph_af_bf(GraphJet(*graph_jet_exact(s, x, y)))
 
 
 def af_fd_exact(s: GraphSeries, x: Fraction, y: Fraction, h: Fraction) -> Fraction:
@@ -474,7 +469,7 @@ def af_fd_exact(s: GraphSeries, x: Fraction, y: Fraction, h: Fraction) -> Fracti
     pxx = (fxp - 2 * f0 + fxm) / h**2
     pyy = (fyp - 2 * f0 + fym) / h**2
     pxy = (fpp - fpm - fmp + fmm) / (4 * h**2)
-    return (1 - py * py) * pxx + 2 * px * py * pxy + (1 - px * px) * pyy
+    return graph_af_bf(GraphJet(f0, px, py, pxx, pxy, pyy))[0]
 
 
 def residual_order_slope(
@@ -580,6 +575,8 @@ def series_from_json(data: Mapping) -> GraphSeries:
     case = SeriesCase(data["case"])
     seed = SeedCondition(case, Fraction(data["c"]))
     order = int(data["order"])
+    if order > MAX_ORDER:
+        raise ValueError(f"order {order} exceeds the cost cap {MAX_ORDER}")
     betas = {k: ZERO_POLY for k in range(3, order + 1)}
     for key, arr in data["betas"].items():
         k = int(key)

@@ -101,6 +101,15 @@ class TestDomainU:
             assert u_membership(Fraction(1), 0.0, y)
             assert u_membership(Fraction(1), 0.0, -y)
 
+    def test_input_guards(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="y must be finite"):
+                u_halfwidth(Fraction(1), bad)
+            with pytest.raises(ValueError, match="y must be finite"):
+                u_membership(Fraction(1), 0.0, bad)
+            with pytest.raises(ValueError, match="x must be finite"):
+                u_membership(Fraction(1), bad, 0.0)
+
     def test_outside_the_widest_rectangle(self):
         w0 = u_halfwidth(Fraction(1), 0.0)
         assert not u_membership(Fraction(1), 2.0 * w0, 0.0)

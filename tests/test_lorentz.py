@@ -196,8 +196,9 @@ class TestClassify:
         assert kinds[0] is Causal.TIMELIKE and kinds[-1] is Causal.SPACELIKE
 
     def test_negative_tol_rejected(self):
-        with pytest.raises(ValueError):
-            classify(0.0, -1.0)
+        for tol in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                classify(0.0, tol)
 
 
 class TestDegenerate:

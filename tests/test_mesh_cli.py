@@ -41,8 +41,9 @@ def coeffs_i(tmp_path_factory):
 class TestMeshFormats:
     @pytest.fixture()
     def small_mesh(self):
-        def evaluate(u, v):
-            return (u, v, u * v), (Causal.SPACELIKE if u > 0 else Causal.NULL)
+        def evaluate(U, V):
+            kinds = np.where(U > 0, Causal.SPACELIKE, Causal.NULL)
+            return np.stack([U, V, U * V], axis=-1), kinds
 
         return build_grid_mesh(evaluate, np.linspace(-1, 1, 5), np.linspace(0, 1, 4))
 
@@ -155,10 +156,12 @@ class TestClassifyCommand:
     def test_unknown_surface_exits_2(self):
         assert run("classify", "--surface", "catalog:nope") == 2
 
-    def test_bad_grid_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            run("classify", "--surface", "catalog:light_cone", "--grid", "junk")
-        assert exc.value.code == 2
+    def test_bad_grid_exits_2(self, capsys):
+        for grid in ("junk", "nan:1:3,0:1:3", "0:inf:3,0:1:3"):
+            with pytest.raises(SystemExit) as exc:
+                run("classify", "--surface", "catalog:light_cone", f"--grid={grid}")
+            assert exc.value.code == 2
+            assert "grid must look like X0:X1:NX,Y0:Y1:NY" in capsys.readouterr().err
 
 
 class TestBoundsCommand:
@@ -248,7 +251,7 @@ class TestMeshCommand:
 
 
 def loop_grid_mesh(evaluate, us, vs):
-    """Reference: the per-point vertex writes and nested face loop."""
+    """Reference: one evaluate call per vertex, and the nested face loop."""
     nu, nv = len(us), len(vs)
     verts = np.empty((nu * nv, 6))
     for i, u in enumerate(us):
@@ -277,9 +280,13 @@ def struct_ply_body(mesh):
     return b"".join(out)
 
 
+THREE_KINDS = np.array([Causal.SPACELIKE, Causal.TIMELIKE, Causal.NULL])
+
+
 def three_colour_evaluate(u, v):
-    kinds = (Causal.SPACELIKE, Causal.TIMELIKE, Causal.NULL)
-    return (u, v, np.sin(3 * u) * v), kinds[int(10 * (u + v)) % 3]
+    """Array form; also takes single points, as loop_grid_mesh passes them."""
+    kinds = THREE_KINDS[(10 * np.add(u, v)).astype(int) % 3]
+    return np.stack([u, v, np.sin(3 * u) * v], axis=-1), kinds
 
 
 class TestArrayPaths:
@@ -335,6 +342,14 @@ class TestArgumentErrors:
              "--exact applies to coefficient series"),
             (["mesh", "--coeffs", "{iii}", "--grid=-300:300:3,-1:1:3",
               "--ply-binary", "--out", "{out}"], "out of float32 range"),
+            (["classify", "--surface", "catalog:elliptic_catenoid", "--tol", "nan",
+              "--out", "{out}"], "tol must be finite"),
+            (["classify", "--coeffs", "{iii}", "--tol", "inf", "--out", "{out}"],
+             "tol must be finite"),
+            (["mesh", "--coeffs", "{iii}", "--tol", "nan", "--out", "{out}"],
+             "tol must be finite"),
+            (["mesh", "--surface", "catalog:elliptic_catenoid", "--tol", "inf",
+              "--out", "{out}"], "tol must be finite"),
         ],
     )
     def test_exits_2(self, argv, message, coeffs_iii, tmp_path, capsys):

@@ -2,11 +2,14 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zmcgraph.poly import RationalPoly, ZERO_POLY
 from zmcgraph.series import (
     ALPHA_ZERO,
+    MAX_ORDER,
     SeedCondition,
     SeriesCase,
     af_bf_exact,
@@ -313,6 +316,12 @@ class TestInterchangeFormat:
         assert data["betas"]["6"] == ["0", "0", "0", "-8"]
         assert "5" not in data["betas"]  # zero polynomials are omitted
 
+    def test_order_above_cap_rejected(self, series_iii_c1_n8):
+        data = series_to_json(series_iii_c1_n8)
+        data["order"] = MAX_ORDER + 1
+        with pytest.raises(ValueError, match="cost cap"):
+            series_from_json(data)
+
     def test_out_of_range_index_rejected(self, series_iii_c1_n8):
         data = series_to_json(series_iii_c1_n8)
         data["betas"]["99"] = ["1"]
@@ -334,3 +343,80 @@ class TestBeta8Note:
         s = series_from_recursion(seed("iii", 1), 6)
         with pytest.raises(ValueError):
             beta8_sign_note(s)
+
+
+# ---------------------------------------------------------------------------
+# the shared jet body against per-point and derive-at-each-point references
+# ---------------------------------------------------------------------------
+
+
+def loop_jet_exact(s, x, y):
+    """Reference: the exact jet loop that derives beta_k' and beta_k'' per point."""
+    x, y = Fraction(x), Fraction(y)
+    value = y
+    px = pxx = pxy = pyy = Fraction(0)
+    py = Fraction(1)
+    for k, bk in s.betas.items():
+        if bk.is_zero:
+            continue
+        bd = bk.derivative()
+        bv, bdv, bddv = bk(y), bd(y), bd.derivative()(y)
+        xk2 = x ** (k - 2)
+        xk1 = xk2 * x
+        xk = xk1 * x
+        value += bv * xk / k
+        px += bv * xk1
+        py += bdv * xk / k
+        pxx += (k - 1) * bv * xk2
+        pxy += bdv * xk1
+        pyy += bddv * xk / k
+    return value, px, py, pxx, pxy, pyy
+
+
+def loop_af_bf_exact(s, x, y):
+    """Reference: A and B written out on the reference jet."""
+    _, px, py, pxx, pxy, pyy = loop_jet_exact(s, x, y)
+    a = (1 - py * py) * pxx + 2 * px * py * pxy + (1 - px * px) * pyy
+    b = 1 - px * px - py * py
+    return a, b
+
+
+@st.composite
+def random_series(draw):
+    case = draw(st.sampled_from(["i", "ii", "iii"]))
+    c = draw(st.fractions(min_value=Fraction(1, 64), max_value=64, max_denominator=1000))
+    c = -c if case == "ii" else c
+    if case == "i":
+        return series_from_expansion(seed("i", c), draw(st.integers(4, 12)))
+    return series_from_recursion(seed(case, c), draw(st.integers(5, 16)))
+
+
+coords = st.lists(st.floats(-1, 1), min_size=1, max_size=6)
+small_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=10**6)
+
+
+class TestSharedJetBody:
+    @settings(max_examples=30, deadline=None)
+    @given(random_series(), coords, coords)
+    def test_array_jet_equals_per_point_bit_for_bit(self, s, xs, ys):
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        grid = psi_jet(s, X, Y)
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                point = psi_jet(s, x, y)
+                for name in ("value", "px", "py", "pxx", "pxy", "pyy"):
+                    got = getattr(grid, name)[i, j]
+                    want = getattr(point, name)
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes(), name
+
+    @settings(max_examples=30, deadline=None)
+    @given(random_series(), small_fractions, small_fractions)
+    def test_exact_jet_equals_derive_per_point_loop(self, s, x, y):
+        assert graph_jet_exact(s, x, y) == loop_jet_exact(s, x, y)
+        assert af_bf_exact(s, x, y) == loop_af_bf_exact(s, x, y)
+
+    def test_array_call_leaves_its_arguments_alone(self, series_iii_c1_n8):
+        X, Y = np.meshgrid([0.1, 0.2], [-0.5, 0.5], indexing="ij")
+        before = Y.copy()
+        psi_jet(series_iii_c1_n8, X, Y)
+        assert np.array_equal(Y, before)
