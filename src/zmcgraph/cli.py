@@ -4,6 +4,9 @@ Subcommands:
 
 * ``construct``: build a series by case tag and parameter, write coefficient JSON.
 * ``classify``: causal classification of a series or catalog surface on a grid.
+  For a coefficient series the sign of B is exact by default: float
+  arithmetic under a proven error bound decides most points, exact rational
+  arithmetic the rest, so the verdict is still exact.
 * ``bounds``: convergence certificate, width profile and non-convexity witness.
 * ``verify``: the verification suites (recursion equivalence, coefficient
   growth estimates, surface corpus).
@@ -29,8 +32,8 @@ from .series import (
     GraphSeries,
     SeedCondition,
     SeriesCase,
-    af_bf_exact,
     beta8_sign_note,
+    causal_signs,
     psi_jet,
     series_from_expansion,
     series_from_json,
@@ -44,7 +47,12 @@ EXIT_ARGS = 2
 EXIT_CERT = 3
 EXIT_IO = 4
 
+# most points --grid may ask for: a 201 x 201 mesh holds 40401, and a mesh
+# keeps a few hundred bytes per point, so this caps it at a few hundred MB
+MAX_GRID_POINTS = 1_000_000
 
+# causal kind of each sign of B, indexed by the sign: 0, 1, -1
+_KINDS = np.array([Causal.NULL, Causal.SPACELIKE, Causal.TIMELIKE], dtype=object)
 
 # ---------------------------------------------------------------------------
 # small helpers
@@ -66,8 +74,11 @@ def _grid(text: str) -> tuple[np.ndarray, np.ndarray]:
         ends = [float(v) for v in (x0, x1, y0, y1)]
         if not np.isfinite(ends).all():
             raise ValueError("bounds must be finite")
-        xs = np.linspace(ends[0], ends[1], int(nx))
-        ys = np.linspace(ends[2], ends[3], int(ny))
+        nx, ny = int(nx), int(ny)
+        if max(nx, ny, nx * ny) > MAX_GRID_POINTS:
+            raise ValueError(f"more than {MAX_GRID_POINTS} points")
+        xs = np.linspace(ends[0], ends[1], nx)
+        ys = np.linspace(ends[2], ends[3], ny)
     except ValueError as e:
         raise argparse.ArgumentTypeError(
             f"grid must look like X0:X1:NX,Y0:Y1:NY (got {text!r}: {e})"
@@ -178,7 +189,11 @@ def _resolve_source(args, n: int):
         def sample(U, V):
             points, B = np.empty(U.shape + (3,)), np.empty(U.shape)
             for i in np.ndindex(U.shape):
-                j = e.jet(float(U[i]), float(V[i]))
+                u, v = float(U[i]), float(V[i])
+                try:
+                    j = e.jet(u, v)
+                except (ArithmeticError, ValueError, catalog.ImplicitSolveError) as err:
+                    raise ValueError(f"{label} has no jet at ({u!r}, {v!r}): {err}")
                 points[i], B[i] = j.f, first_form(j)[1]
             return points, B
 
@@ -189,8 +204,9 @@ def _resolve_source(args, n: int):
     return label, xs, ys, sample, s
 
 
-def _kinds(b: list[list], tol: float) -> list[list[Causal]]:
-    return [[classify(v, tol).kind for v in row] for row in b]
+def _band_signs(b: np.ndarray, tol: float) -> np.ndarray:
+    """Sign of each float B outside the null band |B| <= tol; NaN reads null."""
+    return (b > tol).astype(np.int8) - (b < -tol)
 
 
 def cmd_classify(args) -> int:
@@ -211,11 +227,10 @@ def cmd_classify(args) -> int:
 
     exact = args.exact if args.exact is not None else s is not None
     if exact:  # exact B, so null only where B is 0
-        b = [[af_bf_exact(s, Fraction(x), Fraction(y))[1] for y in ys] for x in xs]
-        grid = _kinds(b, 0)
+        signs, fallbacks = causal_signs(s, xs, ys)
     else:
-        b = sample(*np.meshgrid(xs, ys, indexing="ij"))[1]
-        grid = _kinds(b.tolist(), args.tol)
+        signs = _band_signs(sample(*np.meshgrid(xs, ys, indexing="ij"))[1], args.tol)
+    grid = _KINDS[signs].tolist()
     counts = {k.value: sum(row.count(k) for row in grid) for k in Causal}
     verdict = _summary_verdict(counts)
     total = sum(counts.values())
@@ -244,6 +259,8 @@ def cmd_classify(args) -> int:
             for x, row in zip(xs, grid)
         ],
     }
+    if exact:  # grid points whose sign the float filter left to af_bf_exact
+        report["exact_fallbacks"] = fallbacks
     if args.out:
         _write_json(report, args.out)
     return EXIT_OK
@@ -379,7 +396,7 @@ def cmd_mesh(args) -> int:
 
     def evaluate(X, Y):
         points, b = sample(X, Y)
-        return points, _kinds(b.tolist(), args.tol)
+        return points, _KINDS[_band_signs(b, args.tol)]
 
     m = mesh_mod.build_grid_mesh(evaluate, xs, ys)
     try:
@@ -428,7 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--exact",
         action=argparse.BooleanOptionalAction,
         default=None,
-        help="exact rational sign evaluation (default: on for series)",
+        help="exact sign of B (default: on for series); float arithmetic "
+        "under a proven error bound, exact rational arithmetic where the "
+        "bound cannot decide, so the verdict is still exact",
     )
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_classify)

@@ -192,18 +192,21 @@ class GraphSeries:
     ``betas`` maps every k in 3..order to the exact coefficient polynomial
     beta_k.  Values are immutable by convention once constructed.  The jet
     table, one row (k, beta_k, beta_k', beta_k'') of coefficient lists per
-    nonzero beta_k, exact and as floats, is built on first use and cached.
+    nonzero beta_k, exact, as floats and as the magnitudes of those floats,
+    is built on first use and cached.
     """
 
     seed: SeedCondition
     order: int
     betas: dict[int, RationalPoly]
-    _tables: tuple[list, list] | None = field(default=None, repr=False, compare=False)
+    _tables: tuple[list, list, list] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def beta(self, k: int) -> RationalPoly:
         return self.betas[k]
 
-    def _jet_tables(self) -> tuple[list, list]:
+    def _jet_tables(self) -> tuple[list, list, list]:
         if self._tables is None:
             exact = []
             for k in sorted(self.betas):
@@ -212,7 +215,8 @@ class GraphSeries:
                     bd = b.derivative()
                     exact.append((k, b.coeffs, bd.coeffs, bd.derivative().coeffs))
             floats = [(k, *([float(c) for c in cs] for cs in row)) for k, *row in exact]
-            self._tables = exact, floats
+            mags = [(k, *([abs(c) for c in cs] for cs in row)) for k, *row in floats]
+            self._tables = exact, floats, mags
         return self._tables
 
 
@@ -392,13 +396,15 @@ def _horner(coeffs: Sequence, y):
 
 
 def _jet(table, x, y, power) -> tuple:
-    """(value, px, py, pxx, pxy, pyy) of y + sum_k beta_k(y) x^k / k.
+    """(value, px, py - 1, pxx, pxy, pyy) of y + sum_k beta_k(y) x^k / k.
 
     Integer literals only, so one body serves Fraction, float and ndarray
-    arguments; ``power(x, n)`` is x to the n-th power.
+    arguments; ``power(x, n)`` is x to the n-th power.  The third entry is
+    q = py - 1, summed directly, so B = -(px^2 + q (2 + q)) can be formed
+    without the cancellation of 1 - py^2 near the null line.
     """
     value = y
-    px = py1 = pxx = pxy = pyy = 0
+    px = q = pxx = pxy = pyy = 0
     for k, cb, cbd, cbdd in table:
         bk, bdk, bddk = _horner(cb, y), _horner(cbd, y), _horner(cbdd, y)
         xk2 = power(x, k - 2)
@@ -407,11 +413,11 @@ def _jet(table, x, y, power) -> tuple:
         # no +=: value starts as the caller's y, which an in-place add would change
         value = value + bk * xk / k
         px = px + bk * xk1
-        py1 = py1 + bdk * xk / k
+        q = q + bdk * xk / k
         pxx = pxx + (k - 1) * bk * xk2
         pxy = pxy + bdk * xk1
         pyy = pyy + bddk * xk / k
-    return value, px, 1 + py1, pxx, pxy, pyy
+    return value, px, q, pxx, pxy, pyy
 
 
 def psi_jet(s: GraphSeries, x, y) -> GraphJet:
@@ -422,7 +428,8 @@ def psi_jet(s: GraphSeries, x, y) -> GraphJet:
     alike (numpy's ``**`` on arrays uses a vectorised pow that can differ in
     the last bit), so an array call equals per-point calls bit for bit.
     """
-    return GraphJet(*_jet(s._jet_tables()[1], x, y, np.float_power))
+    value, px, q, pxx, pxy, pyy = _jet(s._jet_tables()[1], x, y, np.float_power)
+    return GraphJet(value, px, 1 + q, pxx, pxy, pyy)
 
 
 def psi_eval_exact(s: GraphSeries, x: Fraction, y: Fraction) -> Fraction:
@@ -439,12 +446,98 @@ def graph_jet_exact(
     s: GraphSeries, x: Fraction, y: Fraction
 ) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction, Fraction]:
     """Exact rational jet (value, px, py, pxx, pxy, pyy) of the truncation."""
-    return _jet(s._jet_tables()[0], Fraction(x), Fraction(y), operator.pow)
+    value, px, q, pxx, pxy, pyy = _jet(
+        s._jet_tables()[0], Fraction(x), Fraction(y), operator.pow
+    )
+    return value, px, 1 + q, pxx, pxy, pyy
 
 
 def af_bf_exact(s: GraphSeries, x: Fraction, y: Fraction) -> tuple[Fraction, Fraction]:
     """Exact ZMC residual and causal field of the truncation at (x, y)."""
     return graph_af_bf(GraphJet(*graph_jet_exact(s, x, y)))
+
+
+_REALMIN = 2.0**-1022  # smallest normal float64
+# smallest magnitude sum M the filter trusts: above it g * M is a normal float,
+# and the absolute error of a final product that underflows is far below the
+# slack in g
+_M_MIN = 2.0**-900
+
+
+def _filter_factor(n: int) -> float:
+    """A float g >= gamma_n / (1 - gamma_n) with room for rounding g * M.
+
+    gamma_n = n u / (1 - n u) bounds n relative roundings of unit roundoff
+    u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms, 3.1).
+    The factor 1 + 2^-40 covers the rounding of the product g * M and the
+    absolute error of final products that underflow while M >= _M_MIN.
+    """
+    u = Fraction(1, 2**53)
+    gamma = n * u / (1 - n * u)
+    g = gamma / (1 - gamma) * (1 + Fraction(1, 2**40))
+    return math.nextafter(float(g), math.inf)
+
+
+def causal_signs(s: GraphSeries, xs, ys) -> tuple[np.ndarray, int]:
+    """Exact sign of B at every point of ``np.meshgrid(xs, ys, indexing="ij")``.
+
+    Returns an int8 array of -1 (time-like), 0 (null) and 1 (space-like), and
+    the number of points decided by ``af_bf_exact``.  The sign equals that of
+    the exact B of ``af_bf_exact`` at the same float coordinates everywhere.
+
+    A filtered predicate (Shewchuk, Adaptive Precision Floating-Point
+    Arithmetic and Fast Robust Geometric Predicates, 1997).  The float jet
+    gives px and q = py - 1, and B = -(px^2 + q (2 + q)).  Every monomial of
+    px and q, a coefficient times y^i x^j, passes through at most
+    N = 2 d + T + 6 roundings: the coefficient to float, 2 d in Horner
+    (Higham, 5.1), 4 for ``np.float_power`` taken as 2 ulp, two products for
+    x^k, the product with beta_k, the division by k and T - 1 additions (d
+    the largest degree, T the number of nonzero beta_k).  Forming B adds 3,
+    so |B_float - B| <= gamma_(2N+3) M, where M = |px|^2 + |q| (2 + |q|) sums
+    the magnitudes of the monomials; running the same jet on the magnitude
+    table at |x|, |y| bounds M from above once divided by 1 - gamma.
+
+    x = 0 is null exactly, since every monomial of px and q carries a power
+    of x.  A point goes to ``af_bf_exact`` when |B_float| does not exceed the
+    bound, or when a product in the jet could leave the normal float range,
+    which voids the gamma bounds: by underflow (checked through a lower
+    bound on every nonzero product) or by overflow (a non-finite B or M).
+    """
+    X, Y = np.meshgrid(np.asarray(xs, float), np.asarray(ys, float), indexing="ij")
+    exact, floats, mags = s._jet_tables()
+    kmax = max(k for k, *_ in floats)
+    dmax = max(len(cb) - 1 for _, cb, _, _ in floats)
+    # the smallest nonzero coefficient as a float; 0 if one rounds to 0
+    cmin = min(
+        abs(f) for erow, frow in zip(exact, floats)
+        for es, fs in zip(erow[1:], frow[1:]) for e, f in zip(es, fs) if e
+    )
+
+    g = _filter_factor(2 * (2 * dmax + len(floats) + 6) + 3)
+    # every nonzero Horner partial sum is >= cmin 2^-54 min(|y|, 1)^d (and
+    # y = 0 makes each product exactly 0); every power of x used is
+    # >= min(|x|, 1)^kmax; each product in the jet is at least their product
+    # over kmax, and 4 realmin leaves room for the rounding of this check
+    ty = np.where(Y == 0, 1.0, np.minimum(np.abs(Y), 1.0))
+    lowest = (
+        cmin * 2.0**-54 * np.float_power(ty, dmax)
+        * np.float_power(np.minimum(np.abs(X), 1.0), kmax) / kmax
+    )
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by isfinite
+        _, px, q, *_ = _jet(floats, X, Y, np.float_power)
+        _, pm, qm, *_ = _jet(mags, np.abs(X), np.abs(Y), np.float_power)
+        B = -(px * px + q * (2 + q))
+        M = pm * pm + qm * (2 + qm)
+        decided = (
+            (X != 0) & (lowest >= 4 * _REALMIN) & (M >= _M_MIN)
+            & np.isfinite(B) & (np.abs(B) > g * M)
+        )
+    signs = np.where(decided, np.where(B > 0, 1, -1), 0).astype(np.int8)
+    rest = np.argwhere(~decided & (X != 0))
+    for i, j in rest:
+        b = af_bf_exact(s, Fraction(float(X[i, j])), Fraction(float(Y[i, j])))[1]
+        signs[i, j] = (b > 0) - (b < 0)
+    return signs, len(rest)
 
 
 def af_fd_exact(s: GraphSeries, x: Fraction, y: Fraction, h: Fraction) -> Fraction:

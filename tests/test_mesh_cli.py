@@ -1,4 +1,5 @@
 """Mesh export formats and the command-line interface contract."""
+import argparse
 import json
 import struct
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from zmcgraph import catalog
-from zmcgraph.cli import main
+from zmcgraph.cli import MAX_GRID_POINTS, _grid, main
 from zmcgraph.lorentz import Causal
 from zmcgraph.mesh import (
     CAUSAL_COLORS,
@@ -115,6 +116,7 @@ class TestClassifyCommand:
         data = json.load(open(str(out)))
         assert data["verdict"] == "maximal type"
         assert data["counts"]["timelike"] == 0
+        assert data["exact_fallbacks"] == 0
         ny = data["grid"]["y"][2]
         for col, row in zip(data["columns"], data["verdict_rows"]):
             if abs(col["x"]) < 1e-15:
@@ -144,6 +146,7 @@ class TestClassifyCommand:
         data = json.load(open(str(out)))
         assert data["verdict"] == "light-like"
         assert data["counts"]["spacelike"] == 0 == data["counts"]["timelike"]
+        assert "exact_fallbacks" not in data  # float signs
 
     def test_certified_violation_exits_3(self, coeffs_ii):
         assert run("classify", "--coeffs", coeffs_ii,
@@ -162,6 +165,20 @@ class TestClassifyCommand:
                 run("classify", "--surface", "catalog:light_cone", f"--grid={grid}")
             assert exc.value.code == 2
             assert "grid must look like X0:X1:NX,Y0:Y1:NY" in capsys.readouterr().err
+
+    def test_grid_size_cap(self):
+        # checked on the point counts before any axis is allocated, so these
+        # grids cost nothing; main() would report the error with exit 2 as above
+        n = int(MAX_GRID_POINTS**0.5)
+        assert n * n == MAX_GRID_POINTS
+        xs, ys = _grid(f"0:1:{n},0:1:{n}")
+        assert len(xs) * len(ys) == MAX_GRID_POINTS
+        for grid in ("0:1:5000,0:1:5000", f"0:1:{n},0:1:{n + 1}",
+                     "0:1:2,0:1:1000000000000", "0:1:-5000,0:1:-5000"):
+            with pytest.raises(argparse.ArgumentTypeError) as exc:
+                _grid(grid)
+            assert "grid must look like X0:X1:NX,Y0:Y1:NY" in str(exc.value)
+            assert f"more than {MAX_GRID_POINTS} points" in str(exc.value)
 
 
 class TestBoundsCommand:
@@ -350,6 +367,8 @@ class TestArgumentErrors:
              "tol must be finite"),
             (["mesh", "--surface", "catalog:elliptic_catenoid", "--tol", "inf",
               "--out", "{out}"], "tol must be finite"),
+            (["classify", "--surface", "catalog:hyperbolic_catenoid", "--out", "{out}"],
+             "catalog:hyperbolic_catenoid has no jet at (0.0, 0.0)"),
         ],
     )
     def test_exits_2(self, argv, message, coeffs_iii, tmp_path, capsys):

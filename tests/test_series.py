@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zmcgraph.bounds import u_halfwidth
 from zmcgraph.poly import RationalPoly, ZERO_POLY
 from zmcgraph.series import (
     ALPHA_ZERO,
@@ -17,6 +18,7 @@ from zmcgraph.series import (
     alpha_check,
     alpha_family,
     beta8_sign_note,
+    causal_signs,
     graph_jet_exact,
     homothety,
     homothety_graph,
@@ -420,3 +422,91 @@ class TestSharedJetBody:
         before = Y.copy()
         psi_jet(series_iii_c1_n8, X, Y)
         assert np.array_equal(Y, before)
+
+
+# ---------------------------------------------------------------------------
+# the filtered causal signs against the exact sign of B at every point
+# ---------------------------------------------------------------------------
+
+
+def exact_signs(s, xs, ys):
+    """Reference: the sign of af_bf_exact's B, one point at a time."""
+    out = np.zeros((len(xs), len(ys)), dtype=np.int8)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            b = af_bf_exact(s, Fraction(float(x)), Fraction(float(y)))[1]
+            out[i, j] = (b > 0) - (b < 0)
+    return out
+
+
+@st.composite
+def sign_grids(draw):
+    """A random series and a grid holding x = 0, a tiny |x| whose powers
+    underflow, the certified edge and random points up to |x| = 1."""
+    s = draw(random_series())
+    edge = u_halfwidth(s.seed.c, 0.0)
+    xs = [
+        0.0,
+        draw(st.sampled_from([1e-300, -1e-300, 1e-200, -1e-160])),
+        draw(st.sampled_from([edge, -edge])),
+        *draw(st.lists(st.floats(-1, 1), min_size=1, max_size=3)),
+    ]
+    ys = draw(st.lists(st.floats(-1, 1), min_size=1, max_size=4))
+    return s, xs, ys
+
+
+def sign_change_root(s, lo, hi, y):
+    """The float x in [lo, hi] next to the sign change of the exact B(x, y)."""
+    sign = lambda x: af_bf_exact(s, Fraction(x), Fraction(y))[1] > 0
+    s_lo = sign(lo)
+    assert sign(hi) != s_lo
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        lo, hi = (mid, hi) if sign(mid) == s_lo else (lo, mid)
+    return lo
+
+
+class TestCausalSigns:
+    @settings(max_examples=30, deadline=None)
+    @given(sign_grids())
+    def test_equals_exact_sign(self, grid):
+        s, xs, ys = grid
+        signs, fallbacks = causal_signs(s, xs, ys)
+        assert signs.dtype == np.int8
+        assert np.array_equal(signs, exact_signs(s, xs, ys))
+        # the tiny |x| row always goes to exact arithmetic, x = 0 never does
+        assert len(ys) <= fallbacks <= (len(xs) - 1) * len(ys)
+
+    def test_no_fallbacks_on_default_grid(self, recursion16, series_i_c1_n8):
+        for s in (*recursion16.values(), series_i_c1_n8):
+            half = 0.999 * u_halfwidth(s.seed.c, 0.0)
+            xs, ys = np.linspace(-half, half, 21), np.linspace(-0.999, 0.999, 21)
+            signs, fallbacks = causal_signs(s, xs, ys)
+            assert fallbacks == 0
+            assert not signs[10].any()  # the null line x = 0
+            if s.seed.case is SeriesCase.MIXED_I:
+                assert np.array_equal(signs, exact_signs(s, xs, ys))
+            else:  # time-like for c > 0, space-like for c < 0, off the axis
+                off_axis = np.delete(signs, 10, axis=0)
+                assert (off_axis == (-1 if s.seed.c > 0 else 1)).all()
+
+    def test_tiny_x_falls_back(self, series_iii_c1_n8):
+        # x^4 underflows to 0 in the first two rows; in the last B ~ 2e-160
+        # is a normal float, but x^8 is not, which voids the gamma bounds
+        xs, ys = [1e-300, -1e-250, 1e-40], [-0.5, 0.5]
+        signs, fallbacks = causal_signs(series_iii_c1_n8, xs, ys)
+        assert fallbacks == 6
+        assert (signs == -1).all()
+
+    def test_consecutive_floats_across_a_sign_change(self):
+        # case i changes type near x = -2 / (9 c y^2); next to that curve
+        # the float B is all rounding noise and has the wrong sign at some
+        # of these points, while the exact sign flips once along x
+        s = series_from_expansion(seed("i", 64), 12)
+        x0 = sign_change_root(s, -0.01, -0.001, 0.999)
+        xs = x0 + np.arange(-20, 21) * math.ulp(x0)
+        ys = 0.999 + np.arange(-1, 2) * math.ulp(0.999)
+        signs, fallbacks = causal_signs(s, xs, ys)
+        want = exact_signs(s, xs, ys)
+        assert set(np.unique(want)) == {-1, 1}
+        assert np.array_equal(signs, want)
+        assert fallbacks > 0
