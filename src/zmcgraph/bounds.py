@@ -135,16 +135,29 @@ class ConvergenceCert:
         }
 
 
+def _beyond_float(c: Fraction, delta: float) -> ValueError:
+    return ValueError(
+        f"c = {c} is outside the float range of the certificate at delta = {delta:g}"
+    )
+
+
 def growth_constant(c: Fraction, delta: float, tau: float | None = None) -> float:
     """M_delta = 3 max(144 tau |c| delta^(3/2), (192 c^2 tau)^(1/4))."""
     if c == 0:
         raise ValueError("c must be nonzero")
     if tau is None:
         tau, _ = tau_constant()
-    ca = abs(float(c))
-    first = 144.0 * tau * ca * delta**1.5
-    second = (192.0 * float(c) ** 2 * tau) ** 0.25
-    return 3.0 * max(first, second)
+    try:
+        ca = abs(float(c))
+        first = 144.0 * tau * ca * delta**1.5
+        second = (192.0 * float(c) ** 2 * tau) ** 0.25
+    except OverflowError:  # float(c), c^2 or delta^1.5
+        first = second = math.inf
+    M = 3.0 * max(first, second)
+    # the half-widths are 1 / (sqrt(delta) M), so 1 / M must be finite too
+    if not (0.0 < M < math.inf and 1.0 / M < math.inf):
+        raise _beyond_float(c, delta)
+    return M
 
 
 def certificate(c: Fraction, delta: float = 1.0) -> ConvergenceCert:
@@ -159,7 +172,10 @@ def certificate(c: Fraction, delta: float = 1.0) -> ConvergenceCert:
     tau, _ = tau_constant()
     M = growth_constant(c, delta, tau)
     C = math.sqrt(delta) * M
-    theta0 = 3.0 * abs(float(c)) / (math.sqrt(delta) * M**3)
+    try:
+        theta0 = 3.0 * abs(float(c)) / (math.sqrt(delta) * M**3)
+    except ArithmeticError:  # M^3 overflows, or underflows to 0
+        raise _beyond_float(c, delta) from None
     rect = ((-1.0 / C, 1.0 / C), (-delta, delta))
     return ConvergenceCert(c, delta, tau, M, C, theta0, rect)
 

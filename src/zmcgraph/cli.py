@@ -2,7 +2,8 @@
 
 Subcommands:
 
-* ``construct``: build a series by case tag and parameter, write coefficient JSON.
+* ``construct``: build a series by case tag and parameter, write coefficient JSON;
+  every case substitutes c into the cached unit-c table.
 * ``classify``: causal classification of a series or catalog surface on a grid.
   For a coefficient series the sign of B is exact by default: float
   arithmetic under a proven error bound decides most points, exact rational
@@ -130,10 +131,7 @@ def cmd_construct(args) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ARGS
-    if case is SeriesCase.MIXED_I:
-        s = series_from_expansion(seed, args.order)
-    else:
-        s = series_from_recursion(seed, args.order)
+    s = series_from_expansion(seed, args.order)
     _write_json(series_to_json(s), args.out)
     print(f"case {case.value}, c = {seed.c}, order {s.order}", file=sys.stderr)
     for k in sorted(s.betas):

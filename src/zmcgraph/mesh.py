@@ -6,7 +6,6 @@ grid triangulates into 2 (NX-1)(NY-1) faces.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -129,7 +128,7 @@ def write_ply(mesh: Mesh, path: str, binary: bool = False) -> None:
 
 
 def read_ply(path: str) -> Mesh:
-    """Reference reader for the PLY subset this package writes."""
+    """Reader for the PLY subset this package writes, one array op per block."""
     with open(path, "rb") as fh:
         raw = fh.read()
     end = raw.index(b"end_header\n") + len(b"end_header\n")
@@ -144,30 +143,21 @@ def read_ply(path: str) -> Mesh:
             n_verts = int(parts[2])
         elif parts[:2] == ["element", "face"]:
             n_faces = int(parts[2])
-    verts = np.empty((n_verts, 6))
-    faces = np.empty((n_faces, 3), dtype=np.int64)
     if binary:
-        off = end
-        for i in range(n_verts):
-            x, y, z = struct.unpack_from("<fff", raw, off)
-            r, g, b = struct.unpack_from("<BBB", raw, off + 12)
-            verts[i] = (x, y, z, r, g, b)
-            off += 15
-        for i in range(n_faces):
-            cnt, a, b_, c = struct.unpack_from("<Biii", raw, off)
-            if cnt != 3:
-                raise ValueError("non-triangle face")
-            faces[i] = (a, b_, c)
-            off += 13
-    else:
-        lines = raw[end:].decode("ascii").split("\n")
-        for i in range(n_verts):
-            verts[i] = [float(s) for s in lines[i].split()]
-        for i in range(n_faces):
-            parts = lines[n_verts + i].split()
-            if parts[0] != "3":
-                raise ValueError("non-triangle face")
-            faces[i] = [int(s) for s in parts[1:4]]
+        v = np.frombuffer(raw, _PLY_VERTEX, n_verts, end)
+        f = np.frombuffer(raw, _PLY_FACE, n_faces, end + v.nbytes)
+        verts = np.column_stack([v["xyz"], v["rgb"]])
+        counts, faces = f["n"], f["idx"]
+    else:  # 6 numbers per vertex, then 4 per face; indices are exact floats
+        values = np.fromstring(raw[end:].decode("ascii"), sep=" ")
+        # a face of another size shifts every later row off its count
+        if len(values) != 6 * n_verts + 4 * n_faces:
+            raise ValueError("non-triangle face or malformed vertex")
+        verts = values[: 6 * n_verts]
+        f = values[6 * n_verts :].reshape(-1, 4).astype(np.int64)
+        counts, faces = f[:, 0], f[:, 1:]
+    if (counts != 3).any():
+        raise ValueError("non-triangle face")
     return Mesh(verts, faces)
 
 

@@ -7,16 +7,20 @@ line L = {(0, y, y)} exactly when it has the form
 
 and the ZMC condition forces alpha' + alpha^2 + mu = 0 for a constant mu.
 This module constructs the truncated series for the alpha = 0 branch, the only
-one that can carry embedded examples through an entire null line, from two
-independent directions:
+one that can carry embedded examples through an entire null line, along two
+independent paths:
 
-* ``series_from_recursion``: the closed-form convolution recursion for the
-  second derivatives beta_k'' in terms of lower-order coefficients, valid for
-  seeds with beta_3 = 0 (the quartic seeds).
-* ``series_from_expansion``: order-by-order expansion of the graph ZMC
-  equation (1 - psi_y^2) psi_xx + 2 psi_x psi_y psi_xy + (1 - psi_x^2) psi_yy = 0,
-  reading off each x^k coefficient.  Works for every seed, including the cubic
-  (mixed-type) one, and serves as the independent oracle for the first path.
+* ``series_from_expansion`` constructs, for every seed.  The graphs are
+  homothetic in c, so the y^d coefficient of beta_k is a_{k,d} c^((k-1+d)/w),
+  w = 4 for the quartic seeds and 3 for the cubic (mixed-type) one.  The a_{k,d}
+  come from one c = 1 table per seed type, expanded order by order from the
+  graph ZMC equation on sparse coefficient maps and cached for the process
+  (``_unit_betas``); a series for any c is that table with the powers of c
+  substituted.
+* ``series_from_recursion`` is the oracle: the closed-form convolution
+  recursion for the second derivatives beta_k'' in terms of lower-order
+  coefficients, in dense exact polynomial arithmetic (``pqr_terms``), valid
+  for the quartic seeds (beta_3 = 0).  The two paths agree bit for bit.
 
 All coefficients are exact rationals.  Truncations evaluate to float jets for
 grid work, and to exact rational jets where sign decisions or residual-order
@@ -24,12 +28,14 @@ measurements need to be immune to double-precision noise.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import operator
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -214,7 +220,15 @@ class GraphSeries:
                 if not b.is_zero:
                     bd = b.derivative()
                     exact.append((k, b.coeffs, bd.coeffs, bd.derivative().coeffs))
-            floats = [(k, *([float(c) for c in cs] for cs in row)) for k, *row in exact]
+            try:
+                floats = [
+                    (k, *([float(c) for c in cs] for cs in row)) for k, *row in exact
+                ]
+            except OverflowError:
+                raise ValueError(
+                    f"c = {self.seed.c} is too large for float evaluation: the "
+                    f"order-{self.order} coefficients overflow float range"
+                ) from None
             mags = [(k, *([abs(c) for c in cs] for cs in row)) for k, *row in floats]
             self._tables = exact, floats, mags
         return self._tables
@@ -224,8 +238,10 @@ class GraphSeries:
 # the convolution recursion (quartic seeds only)
 # ---------------------------------------------------------------------------
 
-# highest order either construction path accepts: order 48 already takes
-# seconds of exact Fraction work, and the cost grows steeply beyond it
+# highest order either construction path and series_from_json accept.  The
+# table path builds order 48 in a tenth of a second; the cap is set by the
+# dense recursion, the oracle the tables are checked against, which takes
+# seconds of exact Fraction work at order 48 and grows steeply beyond it
 MAX_ORDER = 48
 
 
@@ -305,82 +321,141 @@ def series_from_recursion(seed: SeedCondition, order: int) -> GraphSeries:
 
 
 # ---------------------------------------------------------------------------
-# the direct-expansion oracle (any seed)
+# the unit-c table and the substitution of c (any seed)
 # ---------------------------------------------------------------------------
 
 
-def series_from_expansion(seed: SeedCondition, order: int) -> GraphSeries:
-    """Build the series by expanding the graph ZMC equation order by order.
+def _pair_sum(
+    out: dict, s: int, A: Mapping, B: Mapping, k: int, a0: int, b0: int
+) -> dict:
+    """out += s * sum_{n=a0}^{k-b0} A[n] B[k-n].
 
-    Writes psi = sum_j b_j x^j with b_0 = y and b_j = beta_j / j, forms the
-    x^k coefficient of (1 - psi_y^2) psi_xx + 2 psi_x psi_y psi_xy +
-    (1 - psi_x^2) psi_yy using truncated Cauchy products of the known lower
-    coefficients, and solves beta_k'' = -k * (that coefficient) with zero
-    initial data.  Independent of the convolution recursion, and the only
-    constructive path for the mixed-type (cubic) seed.
+    A and B map a power of x to a polynomial in y held as a sparse
+    {degree: coefficient} map; a missing power is the zero polynomial.
+    """
+    for n in range(a0, k - b0 + 1):
+        if n in A and k - n in B:
+            for d1, a in A[n].items():
+                for d2, b in B[k - n].items():
+                    out[d1 + d2] = out.get(d1 + d2, 0) + s * a * b
+    return out
+
+
+def _store(series: dict, n: int, poly: Mapping) -> None:
+    """series[n] = poly without its zero terms; a zero poly is left out."""
+    poly = {d: a for d, a in poly.items() if a}
+    if poly:
+        series[n] = poly
+
+
+def _unit_expansion(w: int) -> Iterator[tuple[int, dict]]:
+    """Yield (k, beta_k) for k = 3, 4, ... of the c = 1 series whose seed is
+    beta_w = w y (w = 4: the quartic seeds, w = 3: the cubic seed).
+
+    Expands the graph ZMC equation (1 - psi_y^2) psi_xx + 2 psi_x psi_y psi_xy
+    + (1 - psi_x^2) psi_yy = 0 with psi = y + sum_j b_j x^j, b_j = beta_j / j,
+    in the component series, indexed by x power:
+
+        psi_y - 1 : t[j]   = b_j'               (j >= 3)
+        psi_x     : px[i]  = (i+1) b_{i+1}      (i >= 2)
+        psi_xy    : pxy[i] = (i+1) b_{i+1}'     (i >= 2)
+        psi_xx    : pxx[i] = (i+2)(i+1) b_{i+2} (i >= 1)
+        psi_yy    : pyy[j] = b_j''              (j >= 3)
+
+    The x^k coefficient is b_k'' plus terms in lower b_j only, so
+    b_k'' = -e_k and b_k is e_k integrated twice from zero initial data.
+    The pair sums t.t, px.px and px.t are kept by total x power, each
+    formed once as soon as its factors are known, so e_k costs O(k)
+    products.  Polynomials are sparse {degree: coefficient} maps: y^d in
+    beta_k is nonzero only when w divides k - 1 + d.
+    """
+    t, px, pxy, pxx, pyy = {}, {}, {}, {}, {}
+    tt, pxt, pxpx = {}, {}, {}
+    for k in itertools.count(3):
+        if k <= w:
+            bk = {1: Fraction(1)} if k == w else {}
+        else:
+            # the pair sums that e_k is the first to need
+            _store(tt, k - 1, _pair_sum({}, 1, t, t, k - 1, 3, 3))
+            _store(pxt, k - 2, _pair_sum({}, 1, px, t, k - 2, 2, 3))
+            _store(pxpx, k - 3, _pair_sum({}, 1, px, px, k - 3, 2, 2))
+            e = {}
+            _pair_sum(e, -2, t, pxx, k, 3, 1)  # (1 - psi_y^2) psi_xx
+            _pair_sum(e, -1, tt, pxx, k, 6, 1)
+            _pair_sum(e, 2, px, pxy, k, 2, 2)  # 2 psi_x psi_y psi_xy
+            _pair_sum(e, 2, pxt, pxy, k, 5, 2)
+            _pair_sum(e, -1, pxpx, pyy, k, 4, 3)  # (1 - psi_x^2) psi_yy
+            bk = {d + 2: -a / ((d + 1) * (d + 2)) for d, a in e.items() if a}
+        yield k, {d: k * a for d, a in bk.items()}
+        bdk = {d - 1: d * a for d, a in bk.items()}
+        _store(t, k, bdk)
+        _store(px, k - 1, {d: k * a for d, a in bk.items()})
+        _store(pxy, k - 1, {d: k * a for d, a in bdk.items()})
+        _store(pxx, k - 2, {d: k * (k - 1) * a for d, a in bk.items()})
+        _store(pyy, k, {d - 1: d * a for d, a in bdk.items()})
+
+
+# w -> (rows yielded so far, the expansion that yields the next ones); the
+# lock keeps two threads from pulling rows out of one expansion at once
+_UNIT_TABLES: dict[int, tuple[list, Iterator]] = {}
+_UNIT_LOCK = threading.Lock()
+
+
+def _unit_betas(
+    w: int, order: int
+) -> list[tuple[int, tuple[tuple[int, Fraction], ...]]]:
+    """beta_3..beta_order of the c = 1 series with seed beta_w = w y.
+
+    Each row is (k, the (degree, coefficient) pairs of beta_k's nonzero
+    terms, ascending).  The table is cached per w for the process and
+    extended to the largest order asked: the expansion never revisits a
+    finished beta_k, so an order-N table is a prefix of every longer one.
+    """
+    with _UNIT_LOCK:
+        if w not in _UNIT_TABLES:
+            _UNIT_TABLES[w] = ([], _unit_expansion(w))
+        rows, expansion = _UNIT_TABLES[w]
+        while len(rows) < order - 2:
+            k, bk = next(expansion)
+            rows.append((k, tuple(sorted(bk.items()))))
+        return rows[: order - 2]
+
+
+def _rescaled(rows, r: Fraction, w: int) -> dict[int, RationalPoly]:
+    """{k: beta_k} with each term a y^d of a row (k, terms) made a r^((k-1+d)/w).
+
+    Substituting c into a unit-c table (w = 4 or 3) and the homothety by m
+    (w = 1) are both this map; the powers of r are formed once.
+    """
+    top = max((k - 1 + d for k, terms in rows for d, _ in terms), default=0) // w
+    powers = [Fraction(1)]
+    for _ in range(top):
+        powers.append(powers[-1] * r)
+    betas = {}
+    for k, terms in rows:
+        coeffs = [0] * (terms[-1][0] + 1 if terms else 0)
+        for d, a in terms:
+            coeffs[d] = a * powers[(k - 1 + d) // w]
+        betas[k] = RationalPoly(coeffs)
+    return betas
+
+
+def series_from_expansion(seed: SeedCondition, order: int) -> GraphSeries:
+    """Build the series for any seed from the cached unit-c table.
+
+    The graphs are homothetic in c: psi(m x, m y) / m is the series for
+    m^w c, w = 4 for the quartic seeds and 3 for the cubic one.  So the
+    y^d coefficient of beta_k is a_{k,d} c^((k-1+d)/w), where a_{k,d} is
+    that coefficient at c = 1 (``_unit_betas``).  Independent of the
+    convolution recursion, which checks it, and the only constructive path
+    for the mixed-type (cubic) seed.
     """
     if order < 4:
         raise ValueError("order must be at least 4")
     if order > MAX_ORDER:
         raise ValueError(f"order {order} exceeds the cost cap {MAX_ORDER}")
-    b: dict[int, RationalPoly] = {0: RationalPoly([0, 1]), 1: ZERO_POLY, 2: ZERO_POLY}
-    for k, bk in seed.seed_betas().items():
-        b[k] = bk.scale(Fraction(1, k))
-    for k in range(seed.first_unknown, order + 1):
-        e_k = _zmc_x_coefficient(b, k)
-        beta_k = e_k.scale(-k).antiderivative_zero().antiderivative_zero()
-        b[k] = beta_k.scale(Fraction(1, k))
-    betas = {j: b[j].scale(j) for j in range(3, order + 1)}
-    return GraphSeries(seed, order, betas)
-
-
-def _zmc_x_coefficient(b: Mapping[int, RationalPoly], k: int) -> RationalPoly:
-    """x^k coefficient of the graph ZMC expression, with b_k treated as zero.
-
-    Component series, indexed by x power:
-        psi_y - 1 : T[j]   = b_j'              (j >= 3)
-        psi_x     : X[i]   = (i+1) b_{i+1}     (i >= 2)
-        psi_xy    : XY[i]  = (i+1) b_{i+1}'    (i >= 2)
-        psi_xx    : XX[i]  = (i+2)(i+1) b_{i+2}  (i >= 1)
-        psi_yy    : YY[j]  = b_j''             (j >= 3)
-    """
-    top = max(b)
-    T = {j: b[j].derivative() for j in range(3, top + 1) if j in b}
-    X = {i: b[i + 1].scale(i + 1) for i in range(2, top) if i + 1 in b}
-    XY = {i: T[i + 1].scale(i + 1) for i in range(2, top) if i + 1 in T}
-    XX = {i: b[i + 2].scale((i + 2) * (i + 1)) for i in range(1, top - 1) if i + 2 in b}
-    YY = {j: T[j].derivative() for j in T}
-
-    out = ZERO_POLY
-    # (1 - psi_y^2) psi_xx = (-2T - T^2) psi_xx
-    for j, tj in T.items():
-        i = k - j
-        if i in XX:
-            out = out + (tj * XX[i]).scale(-2)
-    for j1, t1 in T.items():
-        for j2, t2 in T.items():
-            i = k - j1 - j2
-            if i in XX:
-                out = out - t1 * t2 * XX[i]
-    # 2 psi_x (1 + T) psi_xy
-    for i1, x1 in X.items():
-        i2 = k - i1
-        if i2 in XY:
-            out = out + (x1 * XY[i2]).scale(2)
-    for i1, x1 in X.items():
-        for j, tj in T.items():
-            i2 = k - i1 - j
-            if i2 in XY:
-                out = out + (x1 * tj * XY[i2]).scale(2)
-    # (1 - psi_x^2) psi_yy; YY[k] is the unknown and is excluded by b_k absent
-    if k in YY:
-        out = out + YY[k]
-    for i1, x1 in X.items():
-        for i2, x2 in X.items():
-            j = k - i1 - i2
-            if j in YY:
-                out = out - x1 * x2 * YY[j]
-    return out
+    w = 3 if seed.case is SeriesCase.MIXED_I else 4
+    return GraphSeries(seed, order, _rescaled(_unit_betas(w, order), seed.c, w))
 
 
 # ---------------------------------------------------------------------------
@@ -628,12 +703,10 @@ def homothety(s: GraphSeries, m: Fraction) -> GraphSeries:
         return s
     power = 3 if s.seed.case is SeriesCase.MIXED_I else 4
     new_seed = SeedCondition(s.seed.case, s.seed.c * m**power)
-    new_betas = {}
-    for k, bk in s.betas.items():
-        new_betas[k] = RationalPoly(
-            [c * m ** (k - 1 + d) for d, c in enumerate(bk.coeffs)]
-        )
-    return GraphSeries(new_seed, s.order, new_betas)
+    rows = [
+        (k, [(d, c) for d, c in enumerate(bk.coeffs) if c]) for k, bk in s.betas.items()
+    ]
+    return GraphSeries(new_seed, s.order, _rescaled(rows, m, 1))
 
 
 def homothety_graph(

@@ -297,6 +297,47 @@ def struct_ply_body(mesh):
     return b"".join(out)
 
 
+def loop_read_ply(path):
+    """Reference: the PLY reader that decodes one vertex and one face at a time."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    end = raw.index(b"end_header\n") + len(b"end_header\n")
+    header = raw[:end].decode("ascii").splitlines()
+    binary = any("binary_little_endian" in line for line in header)
+    n_verts = n_faces = 0
+    for line in header:
+        parts = line.split()
+        if parts[:2] == ["element", "vertex"]:
+            n_verts = int(parts[2])
+        elif parts[:2] == ["element", "face"]:
+            n_faces = int(parts[2])
+    verts = np.empty((n_verts, 6))
+    faces = np.empty((n_faces, 3), dtype=np.int64)
+    if binary:
+        off = end
+        for i in range(n_verts):
+            x, y, z = struct.unpack_from("<fff", raw, off)
+            r, g, b = struct.unpack_from("<BBB", raw, off + 12)
+            verts[i] = (x, y, z, r, g, b)
+            off += 15
+        for i in range(n_faces):
+            cnt, a, b_, c = struct.unpack_from("<Biii", raw, off)
+            if cnt != 3:
+                raise ValueError("non-triangle face")
+            faces[i] = (a, b_, c)
+            off += 13
+    else:
+        lines = raw[end:].decode("ascii").split("\n")
+        for i in range(n_verts):
+            verts[i] = [float(s) for s in lines[i].split()]
+        for i in range(n_faces):
+            parts = lines[n_verts + i].split()
+            if parts[0] != "3":
+                raise ValueError("non-triangle face")
+            faces[i] = [int(s) for s in parts[1:4]]
+    return verts, faces
+
+
 THREE_KINDS = np.array([Causal.SPACELIKE, Causal.TIMELIKE, Causal.NULL])
 
 
@@ -341,11 +382,64 @@ class TestArrayPaths:
         assert not path.exists()
 
 
+    @pytest.mark.parametrize("binary", [False, True])
+    @pytest.mark.parametrize("nu,nv", [(2, 2), (7, 5), (1, 1)])
+    def test_read_ply_matches_loop_reader(self, binary, nu, nv, tmp_path):
+        m = build_grid_mesh(three_colour_evaluate, np.linspace(-1, 1.3, nu),
+                            np.linspace(0.1, 0.7, nv))
+        # values that round in float32, are tiny, negative zero or not finite
+        m.vertices[:4, 2] = [0.1, 1e-40, -0.0, np.inf][: len(m.vertices)]
+        path = tmp_path / "m.ply"
+        write_ply(m, str(path), binary=binary)
+        got, (verts, faces) = read_ply(str(path)), loop_read_ply(str(path))
+        assert got.vertices.dtype == verts.dtype and got.faces.dtype == faces.dtype
+        assert got.vertices.tobytes() == verts.tobytes()
+        assert np.array_equal(got.faces, faces)
+        if not binary:  # ASCII keeps every float64 bit
+            assert got.vertices.tobytes() == m.vertices.tobytes()
+
+    @pytest.mark.parametrize("binary", [False, True])
+    @pytest.mark.parametrize("row,count", [(0, 4), (1, 2), (1, 0)])
+    def test_read_ply_rejects_non_triangles(self, binary, row, count, tmp_path):
+        m = build_grid_mesh(three_colour_evaluate, [0.0, 1.0, 2.0], [0.0, 1.0])
+        path = tmp_path / "m.ply"
+        write_ply(m, str(path), binary=binary)
+        data = path.read_bytes()
+        body = data.index(b"end_header\n") + len(b"end_header\n")
+        if binary:  # the count byte of face `row`
+            at = body + 15 * len(m.vertices) + 13 * row
+            data = data[:at] + bytes([count]) + data[at + 1:]
+        else:  # face `row` rewritten with `count` indices
+            lines = data[body:].split(b"\n")
+            face = len(m.vertices) + row
+            lines[face] = b" ".join([str(count).encode()] + [b"0"] * count)
+            data = data[:body] + b"\n".join(lines)
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="non-triangle face"):
+            loop_read_ply(str(path))
+        with pytest.raises(ValueError, match="non-triangle face"):
+            read_ply(str(path))
+
+
 @pytest.fixture(scope="module")
 def coeffs_iii(tmp_path_factory):
     path = tmp_path_factory.mktemp("coeffs") / "iii.json"
     assert run("construct", "--case", "iii", "--c", "1", "--out", str(path)) == 0
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def coeffs_big(tmp_path_factory):
+    """Exact series whose coefficients (c = 1e100) or c itself (1e160) leave
+    float range; construct is exact, so it still succeeds."""
+    d = tmp_path_factory.mktemp("coeffs")
+    for name, c, order in (("big", "1e100", "16"), ("huge", "1e160", "8")):
+        assert run("construct", "--case", "iii", f"--c={c}", "--order", order,
+                   "--out", str(d / f"{name}.json")) == 0
+    return {"big": str(d / "big.json"), "huge": str(d / "huge.json")}
+
+
+C_BIG, C_HUGE = f"c = {10**100}", f"c = {10**160}"
 
 
 class TestArgumentErrors:
@@ -369,11 +463,25 @@ class TestArgumentErrors:
               "--out", "{out}"], "tol must be finite"),
             (["classify", "--surface", "catalog:hyperbolic_catenoid", "--out", "{out}"],
              "catalog:hyperbolic_catenoid has no jet at (0.0, 0.0)"),
+            # coefficients beyond float range: the float jet table
+            (["classify", "--coeffs", "{big}", "--out", "{out}"], C_BIG),
+            (["classify", "--coeffs", "{big}", "--grid=-1e-30:1e-30:3,-1:1:3",
+              "--out", "{out}"], C_BIG),
+            (["classify", "--coeffs", "{big}", "--no-exact", "--out", "{out}"], C_BIG),
+            (["mesh", "--coeffs", "{big}", "--out", "{out}"], C_BIG),
+            # c itself beyond the float range of the certificate
+            (["classify", "--coeffs", "{huge}", "--grid=-1e-30:1e-30:3,-1:1:3",
+              "--out", "{out}"], C_HUGE),
+            (["mesh", "--coeffs", "{huge}", "--out", "{out}"], C_HUGE),
+            (["bounds", "--c=1e100", "--out", "{out}"], C_BIG),
+            (["bounds", "--c=1e160", "--out", "{out}"], C_HUGE),
+            (["bounds", "--c=1e-400", "--out", "{out}"], f"c = 1/{10**400}"),
+            (["bounds", "--c", "1", "--delta", "1e300", "--out", "{out}"], "c = 1 "),
         ],
     )
-    def test_exits_2(self, argv, message, coeffs_iii, tmp_path, capsys):
+    def test_exits_2(self, argv, message, coeffs_iii, coeffs_big, tmp_path, capsys):
         out = tmp_path / "out.ply"
-        argv = [a.format(iii=coeffs_iii, out=out) for a in argv]
+        argv = [a.format(iii=coeffs_iii, out=out, **coeffs_big) for a in argv]
         assert run(*argv) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()

@@ -1,11 +1,15 @@
 """Series construction: recursion vs expansion, jets, homothety, alpha families."""
 import math
+import subprocess
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import zmcgraph.series as series_mod
 from zmcgraph.bounds import u_halfwidth
 from zmcgraph.poly import RationalPoly, ZERO_POLY
 from zmcgraph.series import (
@@ -13,6 +17,7 @@ from zmcgraph.series import (
     MAX_ORDER,
     SeedCondition,
     SeriesCase,
+    _unit_betas,
     af_bf_exact,
     af_fd_exact,
     alpha_check,
@@ -177,6 +182,180 @@ class TestExpansionOracle:
         # exact rescaling law: the series at 16 c equals the homothety by 2
         s16 = series_from_recursion(seed("ii", -16), 12)
         assert homothety(series_ii_cm1_n12, Fraction(2)).betas == s16.betas
+
+
+# ---------------------------------------------------------------------------
+# the unit-c table path against the dense constructions
+# ---------------------------------------------------------------------------
+
+
+def dense_x_coefficient(b, k):
+    """Reference: x^k coefficient of the graph ZMC expression in dense
+    polynomial products, with b_k treated as zero.
+
+    Component series, indexed by x power:
+        psi_y - 1 : T[j]   = b_j'              (j >= 3)
+        psi_x     : X[i]   = (i+1) b_{i+1}     (i >= 2)
+        psi_xy    : XY[i]  = (i+1) b_{i+1}'    (i >= 2)
+        psi_xx    : XX[i]  = (i+2)(i+1) b_{i+2}  (i >= 1)
+        psi_yy    : YY[j]  = b_j''             (j >= 3)
+    """
+    top = max(b)
+    T = {j: b[j].derivative() for j in range(3, top + 1) if j in b}
+    X = {i: b[i + 1].scale(i + 1) for i in range(2, top) if i + 1 in b}
+    XY = {i: T[i + 1].scale(i + 1) for i in range(2, top) if i + 1 in T}
+    XX = {i: b[i + 2].scale((i + 2) * (i + 1)) for i in range(1, top - 1) if i + 2 in b}
+    YY = {j: T[j].derivative() for j in T}
+
+    out = ZERO_POLY
+    # (1 - psi_y^2) psi_xx = (-2T - T^2) psi_xx
+    for j, tj in T.items():
+        i = k - j
+        if i in XX:
+            out = out + (tj * XX[i]).scale(-2)
+    for j1, t1 in T.items():
+        for j2, t2 in T.items():
+            i = k - j1 - j2
+            if i in XX:
+                out = out - t1 * t2 * XX[i]
+    # 2 psi_x (1 + T) psi_xy
+    for i1, x1 in X.items():
+        i2 = k - i1
+        if i2 in XY:
+            out = out + (x1 * XY[i2]).scale(2)
+    for i1, x1 in X.items():
+        for j, tj in T.items():
+            i2 = k - i1 - j
+            if i2 in XY:
+                out = out + (x1 * tj * XY[i2]).scale(2)
+    # (1 - psi_x^2) psi_yy; YY[k] is the unknown and is excluded by b_k absent
+    if k in YY:
+        out = out + YY[k]
+    for i1, x1 in X.items():
+        for i2, x2 in X.items():
+            j = k - i1 - i2
+            if j in YY:
+                out = out - x1 * x2 * YY[j]
+    return out
+
+
+def dense_expansion(sd, order):
+    """Reference: the series expanded at the seed's own c in dense products."""
+    b = {0: RationalPoly([0, 1]), 1: ZERO_POLY, 2: ZERO_POLY}
+    for k, bk in sd.seed_betas().items():
+        b[k] = bk.scale(Fraction(1, k))
+    for k in range(sd.first_unknown, order + 1):
+        e_k = dense_x_coefficient(b, k)
+        beta_k = e_k.scale(-k).antiderivative_zero().antiderivative_zero()
+        b[k] = beta_k.scale(Fraction(1, k))
+    return {j: b[j].scale(j) for j in range(3, order + 1)}
+
+
+@st.composite
+def rational_c(draw, negative=None):
+    """c = p/q, q of 1 to 32 bits and p within a factor 2 of it, either sign."""
+    bits = draw(st.integers(1, 32))
+    q = draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+    p = draw(st.integers(max(1, q // 2), 2 * q))
+    if negative is None:
+        negative = draw(st.booleans())
+    return Fraction(-p if negative else p, q)
+
+
+class TestUnitTable:
+    @settings(max_examples=25, deadline=None)
+    @given(rational_c(), st.integers(5, 24))
+    def test_equals_recursion(self, c, order):
+        sd = seed("ii" if c < 0 else "iii", c)
+        table = series_from_expansion(sd, order).betas
+        assert table == series_from_recursion(sd, order).betas
+
+    def test_equals_recursion_at_order_48(self):
+        sd = seed("ii", Fraction(-7, 5))
+        table = series_from_expansion(sd, 48).betas
+        assert table == series_from_recursion(sd, 48).betas
+
+    @settings(max_examples=15, deadline=None)
+    @given(rational_c(negative=False), st.integers(4, 12))
+    def test_cubic_equals_dense_expansion(self, c, order):
+        sd = seed("i", c)
+        assert series_from_expansion(sd, order).betas == dense_expansion(sd, order)
+
+    def test_quartic_equals_dense_expansion(self):
+        sd = seed("iii", Fraction(3, 11))
+        assert series_from_expansion(sd, 16).betas == dense_expansion(sd, 16)
+
+    def test_sparsity(self):
+        # only y^d with w | k - 1 + d is nonzero: 100 of 552 entries at order 48
+        rows = _unit_betas(4, 48)
+        assert [k for k, _ in rows] == list(range(3, 49))
+        assert all((k - 1 + d) % 4 == 0 for k, terms in rows for d, _ in terms)
+        assert sum(len(terms) for _, terms in rows) == 100
+        cubic = _unit_betas(3, 24)
+        assert all((k - 1 + d) % 3 == 0 for k, terms in cubic for d, _ in terms)
+
+    def test_growing_cache_equals_fresh_builds(self, monkeypatch):
+        def build(case, c, order):
+            return series_from_expansion(seed(case, c), order).betas
+
+        cases = (("iii", Fraction(7, 5)), ("i", Fraction(3, 11)))
+        monkeypatch.setattr(series_mod, "_UNIT_TABLES", {})
+        grown = [build(*case, order) for case in cases for order in (16, 48, 16)]
+        fresh = []
+        for case in cases:
+            for order in (16, 48, 16):
+                monkeypatch.setattr(series_mod, "_UNIT_TABLES", {})
+                fresh.append(build(*case, order))
+        assert grown == fresh
+        assert all(len(b) == 46 for b in grown[1::3])
+
+    def test_threads_sharing_the_cache(self, monkeypatch):
+        # more threads than cores, each growing the same tables to its own
+        # order, with a short switch interval to interleave them
+        monkeypatch.setattr(series_mod, "_UNIT_TABLES", {})
+        jobs = [("iii", Fraction(7, 5), n) for n in (12, 40, 24, 48, 32, 16)]
+        jobs += [("i", Fraction(3, 11), n) for n in (16, 8, 24)]
+        out = [None] * len(jobs)
+
+        def build(i):
+            case, c, order = jobs[i]
+            out[i] = series_from_expansion(seed(case, c), order).betas
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=build, args=(i,)) for i in range(len(jobs))
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        monkeypatch.setattr(series_mod, "_UNIT_TABLES", {})
+        want = series_from_expansion(seed("iii", Fraction(7, 5)), 48).betas
+        for (case, c, order), got in zip(jobs, out):
+            if case == "iii":
+                assert got == {k: want[k] for k in range(3, order + 1)}
+            else:
+                assert got == series_from_expansion(seed(case, c), order).betas
+
+    def test_returned_betas_do_not_reach_the_cache(self):
+        sd = seed("ii", Fraction(-3, 2))
+        first = series_from_expansion(sd, 12)
+        want = dict(first.betas)
+        first.betas[6] = RationalPoly([1])
+        del first.betas[8]
+        _unit_betas(4, 12).clear()
+        assert series_from_expansion(sd, 12).betas == want
+
+    def test_no_table_at_import(self):
+        code = "import zmcgraph.cli, zmcgraph.series as s; print(s._UNIT_TABLES)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "{}"
 
 
 class TestJets:
