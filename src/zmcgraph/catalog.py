@@ -6,6 +6,14 @@ implicit entry), the expected causal character, any known straight null lines
 on the surface, and a sampling domain with documented exclusions around
 singular sets.  The corpus contract is that every entry's zero-mean-curvature
 residual vanishes numerically on its sampling domain.
+
+Every jet takes floats or whole arrays (a meshgrid, say) with one body.  On
+arrays each point gets exactly the float operations of its own scalar call:
+transcendental functions are ``math.*`` mapped over the elements (numpy's
+sinh, cosh, tanh and tan can differ from them in the last bit), every
+division by zero raises as float division does, and the Newton solve steps
+each point as its scalar solve would.  A jet raises on an array exactly when
+it raises at one of its points.
 """
 from __future__ import annotations
 
@@ -64,7 +72,7 @@ class SurfaceEntry:
     name: str
     kind: str  # parametric | graph | implicit
     expected_causal: str  # spacelike | timelike | lightlike | mixed
-    jet: Callable[[float, float], Jet2]
+    jet: Callable[[float, float], Jet2]  # floats or arrays, see the module doc
     domain: tuple[tuple[float, float], tuple[float, float]]
     known_null_lines: tuple[NullLineSpec, ...] = ()
     excluded: Callable[[float, float], bool] | None = None
@@ -75,13 +83,32 @@ class SurfaceEntry:
 
 
 # ---------------------------------------------------------------------------
+# scalar-or-array helpers
+# ---------------------------------------------------------------------------
+
+
+def _each(fn, a):
+    """fn(a) for a float; fn at every element of an array, as a float array."""
+    if isinstance(a, np.ndarray):
+        return np.fromiter(map(fn, a.ravel().tolist()), float, a.size).reshape(a.shape)
+    return fn(a)
+
+
+def _div(a, b):
+    """a / b, raising ZeroDivisionError like float division if b holds a zero."""
+    if isinstance(b, np.ndarray) and not b.all():
+        raise ZeroDivisionError("float division by zero")
+    return a / b
+
+
+# ---------------------------------------------------------------------------
 # analytic parametric entries
 # ---------------------------------------------------------------------------
 
 
 def _elliptic_catenoid_jet(u: float, v: float) -> Jet2:
-    sh, ch = math.sinh(v), math.cosh(v)
-    cu, su = math.cos(u), math.sin(u)
+    sh, ch = _each(math.sinh, v), _each(math.cosh, v)
+    cu, su = _each(math.cos, u), _each(math.sin, u)
     return Jet2(
         f=Vec3M(sh * cu, sh * su, v),
         f_u=Vec3M(-sh * su, sh * cu, 0.0),
@@ -93,7 +120,7 @@ def _elliptic_catenoid_jet(u: float, v: float) -> Jet2:
 
 
 def _light_cone_jet(u: float, v: float) -> Jet2:
-    cu, su = math.cos(u), math.sin(u)
+    cu, su = _each(math.cos, u), _each(math.sin, u)
     return Jet2(
         f=Vec3M(v * cu, v * su, v),
         f_u=Vec3M(-v * su, v * cu, 0.0),
@@ -110,10 +137,10 @@ def _timelike_tanh_jet(theta: float, t: float) -> Jet2:
     Solves (y - t + tanh t)^2 + x^2 = tanh^2 t; time-like with the entire
     null line x = 0, y = t along theta = pi/2 and a cone point at t = 0.
     """
-    T = math.tanh(t)
-    S = 1.0 / math.cosh(t) ** 2
+    T = _each(math.tanh, t)
+    S = 1.0 / _each(lambda s: math.cosh(s) ** 2, t)  # float ** is C pow
     dS = -2.0 * S * T
-    ct, st = math.cos(theta), math.sin(theta)
+    ct, st = _each(math.cos, theta), _each(math.sin, theta)
     return Jet2(
         f=Vec3M(T * ct, t - T + T * st, t),
         f_u=Vec3M(-T * st, T * ct, 0.0),
@@ -135,17 +162,17 @@ def hyperbolic_catenoid_height(x: float, y: float) -> float:
 
 
 def _hyperbolic_catenoid_graph_jet(x: float, y: float) -> GraphJet:
-    g = math.sin(x) ** 2 + y * y
-    gx = math.sin(2.0 * x)
-    gxx = 2.0 * math.cos(2.0 * x)
-    s = math.sqrt(g)
+    g = _each(lambda a: math.sin(a) ** 2, x) + y * y
+    gx = _each(math.sin, 2.0 * x)
+    gxx = 2.0 * _each(math.cos, 2.0 * x)
+    s = _each(math.sqrt, g)
     return GraphJet(
         value=s,
-        px=gx / (2.0 * s),
-        py=y / s,
-        pxx=gxx / (2.0 * s) - gx * gx / (4.0 * g * s),
-        pxy=-gx * y / (2.0 * g * s),
-        pyy=1.0 / s - y * y / (g * s),
+        px=_div(gx, 2.0 * s),
+        py=_div(y, s),
+        pxx=_div(gxx, 2.0 * s) - _div(gx * gx, 4.0 * g * s),
+        pxy=_div(-gx * y, 2.0 * g * s),
+        pyy=_div(1.0, s) - _div(y * y, g * s),
     )
 
 
@@ -168,12 +195,12 @@ def cone_type_implicit(x: float, y: float, t: float) -> float:
     degenerates.
     """
     s = y - t
-    return 2.0 * s * math.cos(t) - (x * x + s * s) * math.sin(t)
+    return 2.0 * s * _each(math.cos, t) - (x * x + s * s) * _each(math.sin, t)
 
 
 def cone_type_dt(x: float, y: float, t: float) -> float:
     s = y - t
-    return -(2.0 + x * x + s * s) * math.cos(t)
+    return -(2.0 + x * x + s * s) * _each(math.cos, t)
 
 
 class ImplicitSolveError(RuntimeError):
@@ -192,8 +219,17 @@ def implicit_solve(
     """Newton-solve F(x, y, t) = 0 for t from a seed value.
 
     Uses the supplied t-derivative or a central difference.  Raises
-    ImplicitSolveError on a vanishing derivative or non-convergence.
+    ImplicitSolveError on a vanishing derivative or non-convergence.  If any
+    of x, y, t_seed is an array, every point is solved at once: F and dF_dt
+    are called on the arrays of the points still iterating, and each point
+    takes the steps of its scalar solve and stops where that solve stops.
+    The error then names the first point, in flat order, of those that fail
+    at the earliest failing step.
     """
+    if any(isinstance(a, np.ndarray) for a in (x, y, t_seed)):
+        return _implicit_solve_array(F, x, y, t_seed, dF_dt, tol, max_steps)
+    # per-point callers (the corpus checks, fd steps of a scalar jet) keep this
+    # loop in Python floats: a one-element array solve costs about 20x more
     t = t_seed
     for _ in range(max_steps):
         ft = F(x, y, t)
@@ -205,11 +241,43 @@ def implicit_solve(
             h = 1e-7 * max(1.0, abs(t))
             d = (F(x, y, t + h) - F(x, y, t - h)) / (2.0 * h)
         if abs(d) < 1e-14:
-            raise ImplicitSolveError(
-                f"vanishing t-derivative near t = {t!r} at ({x!r}, {y!r})"
-            )
+            raise _flat_derivative(x, y, t)
         t -= ft / d
-    raise ImplicitSolveError(
+    raise _no_convergence(F, x, y, t, max_steps)
+
+
+def _implicit_solve_array(F, x, y, t_seed, dF_dt, tol, max_steps):
+    x, y, t = np.broadcast_arrays(x, y, t_seed)
+    x, y, t = x.ravel(), y.ravel(), np.array(t, dtype=float)
+    flat_t = t.reshape(-1)  # a view: the solved points are written into t
+    live = np.arange(t.size)  # points still iterating, in flat order
+    for _ in range(max_steps):
+        xl, yl, tl = x[live], y[live], flat_t[live]
+        ft = F(xl, yl, tl)
+        go = ~(np.abs(ft) <= tol)
+        live, xl, yl, tl, ft = live[go], xl[go], yl[go], tl[go], ft[go]
+        if not live.size:
+            return t
+        if dF_dt is not None:
+            d = dF_dt(xl, yl, tl)
+        else:
+            h = 1e-7 * np.fmax(1.0, np.abs(tl))  # fmax passes over NaN as max() does
+            d = (F(xl, yl, tl + h) - F(xl, yl, tl - h)) / (2.0 * h)
+        flat = np.abs(d) < 1e-14
+        if flat.any():
+            k = flat.argmax()
+            raise _flat_derivative(float(xl[k]), float(yl[k]), float(tl[k]))
+        flat_t[live] = tl - ft / d
+    i = live[0]
+    raise _no_convergence(F, float(x[i]), float(y[i]), float(flat_t[i]), max_steps)
+
+
+def _flat_derivative(x: float, y: float, t: float) -> ImplicitSolveError:
+    return ImplicitSolveError(f"vanishing t-derivative near t = {t!r} at ({x!r}, {y!r})")
+
+
+def _no_convergence(F, x: float, y: float, t: float, max_steps: int) -> ImplicitSolveError:
+    return ImplicitSolveError(
         f"Newton iteration did not converge within {max_steps} steps "
         f"at ({x!r}, {y!r}); |F| = {abs(F(x, y, t)):.3e}"
     )
@@ -217,7 +285,7 @@ def implicit_solve(
 
 def cone_type_height(x: float, y: float) -> float:
     """Graph branch of the cone-type surface through the null line."""
-    seed = y - 0.5 * x * x * math.tan(y)
+    seed = y - 0.5 * x * x * _each(math.tan, y)
     return implicit_solve(cone_type_implicit, x, y, seed, cone_type_dt)
 
 

@@ -52,6 +52,9 @@ EXIT_IO = 4
 # keeps a few hundred bytes per point, so this caps it at a few hundred MB
 MAX_GRID_POINTS = 1_000_000
 
+# what a catalog jet raises at a point where it has none
+_NO_JET = (ArithmeticError, ValueError, catalog.ImplicitSolveError)
+
 # causal kind of each sign of B, indexed by the sign: 0, 1, -1
 _KINDS = np.array([Causal.NULL, Causal.SPACELIKE, Causal.TIMELIKE], dtype=object)
 
@@ -185,15 +188,22 @@ def _resolve_source(args, n: int):
         label, domain = f"catalog:{e.name}", e.domain
 
         def sample(U, V):
-            points, B = np.empty(U.shape + (3,)), np.empty(U.shape)
-            for i in np.ndindex(U.shape):
-                u, v = float(U[i]), float(V[i])
+            # overflow to inf and inf - inf are as silent as in float arithmetic
+            with np.errstate(all="ignore"):
                 try:
-                    j = e.jet(u, v)
-                except (ArithmeticError, ValueError, catalog.ImplicitSolveError) as err:
-                    raise ValueError(f"{label} has no jet at ({u!r}, {v!r}): {err}")
-                points[i], B[i] = j.f, first_form(j)[1]
-            return points, B
+                    j = e.jet(U, V)
+                except _NO_JET:  # so some point has no jet: name the first
+                    for u, v in zip(U.ravel().tolist(), V.ravel().tolist()):
+                        try:
+                            e.jet(u, v)
+                        except _NO_JET as err:
+                            raise ValueError(
+                                f"{label} has no jet at ({u!r}, {v!r}): {err}"
+                            )
+                    raise
+                B = first_form(j)[1]
+            points = np.stack([np.broadcast_to(c, U.shape) for c in j.f], axis=-1)
+            return points, np.broadcast_to(B, U.shape)
 
     if args.grid is not None:
         xs, ys = args.grid

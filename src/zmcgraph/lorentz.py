@@ -88,12 +88,17 @@ class CausalVerdict:
 
 
 def first_form(j: Jet2) -> tuple[np.ndarray, float]:
-    """First fundamental form matrix P and B = det(P)."""
+    """First fundamental form matrix P and B = det(P).
+
+    A jet of arrays gives P shaped (2, 2) + the broadcast shape of its
+    entries, and B as computed from them (a scalar when the first
+    derivatives do not vary, as on a plane).
+    """
     p11 = minkowski_dot(j.f_u, j.f_u)
     p12 = minkowski_dot(j.f_u, j.f_v)
     p22 = minkowski_dot(j.f_v, j.f_v)
-    P = np.array([[p11, p12], [p12, p22]], dtype=float)
-    return P, p11 * p22 - p12 * p12
+    P = np.array(np.broadcast_arrays(p11, p12, p12, p22), dtype=float)
+    return P.reshape((2, 2) + P.shape[1:]), p11 * p22 - p12 * p12
 
 
 def lorentz_normal(j: Jet2) -> Vec3M:
@@ -268,10 +273,13 @@ def fd_graph_jet(
 
     Step sizes follow the usual truncation/roundoff balance: eps^(1/3) for
     first derivatives and eps^(1/4) for second derivatives, times a length
-    scale.
+    scale.  x and y may be floats or arrays; ``psi`` is then called on whole
+    arrays, and each point gets the steps and sums of its own scalar call.
     """
-    if scale is None:
-        scale = max(1.0, abs(x), abs(y))
+    if scale is None:  # fmax passes over NaN as max() does
+        scale = np.fmax(np.fmax(1.0, np.abs(x)), np.abs(y))
+        # a Python float keeps a scalar jet in floats, whose division by zero raises
+        scale = float(scale) if scale.ndim == 0 else scale
     h1 = _EPS ** (1.0 / 3.0) * scale
     h2 = _EPS**0.25 * scale
     f0 = psi(x, y)

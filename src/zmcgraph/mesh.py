@@ -18,6 +18,13 @@ CAUSAL_COLORS = {
     Causal.TIMELIKE: (255, 0, 0),
     Causal.NULL: (255, 255, 255),
 }
+# the same table as two aligned arrays, for lookups on whole kind arrays
+_KIND_KEYS = np.array(list(CAUSAL_COLORS), dtype=object)
+_KIND_RGB = np.array(list(CAUSAL_COLORS.values()), dtype=float)
+
+# rows per % operation of the ASCII writers; larger chunks are no faster and
+# hold more Python floats at once (about 1.2 MB at 4096 rows of a vertex)
+ASCII_CHUNK = 256
 
 
 @dataclass
@@ -50,7 +57,10 @@ def build_grid_mesh(
     us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
     nv = len(vs)
     points, kinds = evaluate(*np.meshgrid(us, vs, indexing="ij"))
-    colors = [CAUSAL_COLORS[kind] for row in kinds for kind in row]
+    match = np.reshape(kinds, (-1, 1)) == _KIND_KEYS
+    if not match.any(axis=1).all():
+        raise ValueError("causal kinds must be lorentz.Causal members")
+    colors = _KIND_RGB[match.argmax(axis=1)]
     verts = np.column_stack([np.reshape(points, (-1, 3)), colors])
     # each grid cell (a = i nv + j) splits into (a, b, a+1) and (a+1, b, b+1)
     a = (np.arange(len(us) - 1)[:, None] * nv + np.arange(nv - 1)).ravel()
@@ -108,6 +118,18 @@ def _ply_binary_body(mesh: Mesh) -> bytes:
     return verts.tobytes() + faces.tobytes()
 
 
+def _write_rows(fh, fmt: str, rows: np.ndarray) -> None:
+    """Writes ``fmt % row`` for each row of a 2-D array, one % per chunk.
+
+    ``%.17g`` and ``%d`` format Python floats and ints as ``format`` does
+    (``%d`` truncates a float as ``int()`` does), so the text is that of a
+    per-row f-string.
+    """
+    for i in range(0, len(rows), ASCII_CHUNK):
+        chunk = rows[i : i + ASCII_CHUNK]
+        fh.write(fmt * len(chunk) % tuple(chunk.ravel().tolist()))
+
+
 def write_ply(mesh: Mesh, path: str, binary: bool = False) -> None:
     header = _ply_header(len(mesh.vertices), len(mesh.faces), binary)
     if binary:
@@ -118,13 +140,8 @@ def write_ply(mesh: Mesh, path: str, binary: bool = False) -> None:
         return
     with open(path, "w") as fh:
         fh.write(header)
-        for v in mesh.vertices:
-            fh.write(
-                f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g} "
-                f"{int(v[3])} {int(v[4])} {int(v[5])}\n"
-            )
-        for f in mesh.faces:
-            fh.write(f"3 {int(f[0])} {int(f[1])} {int(f[2])}\n")
+        _write_rows(fh, "%.17g %.17g %.17g %d %d %d\n", mesh.vertices)
+        _write_rows(fh, "3 %d %d %d\n", mesh.faces)
 
 
 def read_ply(path: str) -> Mesh:
@@ -169,7 +186,5 @@ def read_ply(path: str) -> Mesh:
 def write_obj(mesh: Mesh, path: str) -> None:
     """OBJ export; positions only, indices are 1-based."""
     with open(path, "w") as fh:
-        for v in mesh.vertices:
-            fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for f in mesh.faces:
-            fh.write(f"f {int(f[0]) + 1} {int(f[1]) + 1} {int(f[2]) + 1}\n")
+        _write_rows(fh, "v %.17g %.17g %.17g\n", mesh.vertices[:, :3])
+        _write_rows(fh, "f %d %d %d\n", mesh.faces + 1)

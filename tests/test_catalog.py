@@ -1,6 +1,8 @@
 """Reference surface corpus: entries, implicit solving, corpus contract."""
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from zmcgraph.catalog import (
@@ -14,6 +16,7 @@ from zmcgraph.catalog import (
     hyperbolic_catenoid_height,
     implicit_solve,
 )
+from zmcgraph.cli import _NO_JET, _resolve_source, build_parser
 from zmcgraph.lorentz import (
     fd_graph_jet,
     first_form,
@@ -85,6 +88,42 @@ class TestImplicitSolve:
         with pytest.raises(ImplicitSolveError, match="derivative"):
             implicit_solve(lambda x, y, t: 1.0 + t * t, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("exact_derivative", [True, False])
+    def test_array_equals_scalar_solves(self, exact_derivative):
+        # seeds near and far from the root, so points stop at different steps;
+        # x = 0 is on the null line and stops before the first step
+        X, Y = np.meshgrid(np.linspace(-0.3, 0.3, 13), np.linspace(0.35, 0.9, 11),
+                           indexing="ij")
+        seed = Y - 0.5 * X * X * np.tan(Y) + np.where(X > 0.1, 0.05, 0.0)
+        dt = cone_type_dt if exact_derivative else None
+        T = implicit_solve(cone_type_implicit, X, Y, seed, dt)
+        assert T.shape == X.shape and T.dtype == float
+        expect = [
+            implicit_solve(cone_type_implicit, x, y, t, dt)
+            for x, y, t in zip(X.ravel().tolist(), Y.ravel().tolist(),
+                               seed.ravel().tolist())
+        ]
+        assert T.ravel().tobytes() == np.array(expect).tobytes()
+        # a scalar seed is broadcast against array coordinates
+        T = implicit_solve(cone_type_implicit, X[:, 4], 0.6, 0.59, dt)
+        expect = [implicit_solve(cone_type_implicit, x, 0.6, 0.59, dt)
+                  for x in X[:, 4].tolist()]
+        assert T.tobytes() == np.array(expect).tobytes()
+
+    def test_array_raises_where_a_point_fails(self):
+        # Newton does not converge at the third point (past the fold)
+        xs = np.array([0.0, 0.1, 1.0281694335937501, 0.2])
+        ys = np.full(4, 1.38816943359375)
+        seeds = ys - 0.5 * xs * xs * np.tan(ys)
+        with pytest.raises(ImplicitSolveError, match="did not converge") as scalar:
+            implicit_solve(cone_type_implicit, float(xs[2]), float(ys[2]),
+                           float(seeds[2]), cone_type_dt)
+        with pytest.raises(ImplicitSolveError) as array:
+            implicit_solve(cone_type_implicit, xs, ys, seeds, cone_type_dt)
+        assert str(array.value) == str(scalar.value)
+        with pytest.raises(ImplicitSolveError, match="derivative near t = 0.0 at"):
+            implicit_solve(lambda x, y, t: 1.0 + t * t, 0.0, 0.0, np.array([1.0, 0.0]))
+
 
 class TestConeTypeBranch:
     def test_height_on_null_line(self):
@@ -151,3 +190,55 @@ class TestCorpus:
         assert null_line_check(pts, tol=1e-9).is_null_line
         ys = [p.y for p in pts]
         assert max(ys) - min(ys) >= 10.0
+
+
+def loop_sample(e, U, V):
+    """Reference: one entry.jet and first_form call per grid point, in grid
+    order; the first point without a jet raises."""
+    points, B = np.empty(U.shape + (3,)), np.empty(U.shape)
+    for i in np.ndindex(U.shape):
+        j = e.jet(float(U[i]), float(V[i]))
+        points[i], B[i] = j.f, first_form(j)[1]
+    return points, B
+
+
+def off_centre_grid(name):
+    (u0, u1), (v0, v1) = entry(name).domain
+    w, h = u1 - u0, v1 - v0
+    return f"--grid={u0 + 0.13 * w}:{u1 - 0.31 * w}:17,{v0 + 0.07 * h}:{v1 - 0.2 * h}:23"
+
+
+class TestArrayJets:
+    """Array jets and the CLI's catalog sampler equal per-point jets bit for bit."""
+
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
+    @pytest.mark.parametrize("grid", ["default", "off-centre"])
+    def test_sample_equals_point_jets(self, name, grid):
+        argv = ["mesh", "--surface", f"catalog:{name}", "--out", "unused.ply"]
+        if grid == "off-centre":
+            argv.append(off_centre_grid(name))
+        _, xs, ys, sample, _ = _resolve_source(build_parser().parse_args(argv), 33)
+        U, V = np.meshgrid(xs, ys, indexing="ij")
+        e = entry(name)
+        try:
+            points, B = loop_sample(e, U, V)
+        except _NO_JET as err:  # only hyperbolic_catenoid's cone point (0, 0)
+            assert (name, grid) == ("hyperbolic_catenoid", "default")
+            with pytest.raises(_NO_JET):
+                e.jet(U, V)
+            with pytest.raises(ValueError, match=r"no jet at \(0\.0, 0\.0\)") as got:
+                sample(U, V)
+            assert str(got.value).endswith(f": {err}")
+            return
+        got_points, got_B = sample(U, V)
+        assert got_points.shape == points.shape and got_B.shape == B.shape
+        assert got_points.tobytes() == points.tobytes()
+        assert got_B.tobytes() == B.tobytes()
+        # and every other entry of the jet
+        jet, ref = e.jet(U, V), [e.jet(u, v) for u, v in zip(U.ravel().tolist(),
+                                                            V.ravel().tolist())]
+        for field in dataclasses.fields(jet):
+            for k in range(3):
+                got = np.broadcast_to(getattr(jet, field.name)[k], U.shape).ravel()
+                want = np.array([getattr(r, field.name)[k] for r in ref])
+                assert got.tobytes() == want.tobytes(), (field.name, k)

@@ -5,11 +5,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zmcgraph import catalog
 from zmcgraph.cli import MAX_GRID_POINTS, _grid, main
 from zmcgraph.lorentz import Causal
 from zmcgraph.mesh import (
+    ASCII_CHUNK,
     CAUSAL_COLORS,
     Mesh,
     build_grid_mesh,
@@ -338,6 +340,68 @@ def loop_read_ply(path):
     return verts, faces
 
 
+def line_ply_text(mesh):
+    """Reference: the ASCII PLY body written one f-string per line."""
+    out = []
+    for v in mesh.vertices:
+        out.append(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g} "
+                   f"{int(v[3])} {int(v[4])} {int(v[5])}\n")
+    for f in mesh.faces:
+        out.append(f"3 {int(f[0])} {int(f[1])} {int(f[2])}\n")
+    return "".join(out)
+
+
+def line_obj_text(mesh):
+    """Reference: the OBJ file written one f-string per line."""
+    out = [f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n" for v in mesh.vertices]
+    out += [f"f {int(f[0]) + 1} {int(f[1]) + 1} {int(f[2]) + 1}\n" for f in mesh.faces]
+    return "".join(out)
+
+
+# coordinates that format or parse unusually: signed zero, subnormals, the
+# float range edge, non-finite values, and digits that need all 17 places
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1.7976931348623157e308,
+               np.inf, -np.inf, np.nan, 0.1, 1 / 3, -1e-5, 123456789.0]
+
+
+@st.composite
+def meshes(draw, n_verts, n_faces):
+    """Random meshes whose coordinates include the edge cases above."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xyz = rng.standard_normal((n_verts, 3)) * 10.0 ** rng.integers(-300, 300, (n_verts, 3))
+    picks = draw(st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(), max_size=60))
+    if n_verts:
+        xyz.flat[rng.integers(0, xyz.size, len(picks))] = picks
+    rgb = rng.integers(0, 256, (n_verts, 3))
+    faces = rng.integers(0, n_verts, (n_faces, 3))
+    return Mesh(np.column_stack([xyz, rgb]), faces)
+
+
+class TestAsciiWriters:
+    # vertex and face counts on both sides of the writers' chunk size
+    @pytest.mark.parametrize("n_verts,n_faces", [
+        (0, 0), (1, 1), (37, 23), (ASCII_CHUNK - 1, ASCII_CHUNK + 1),
+        (ASCII_CHUNK, ASCII_CHUNK), (2 * ASCII_CHUNK + 1, 2 * ASCII_CHUNK - 1),
+    ])
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_bytes_equal_line_writers_and_read_back(self, n_verts, n_faces, data,
+                                                    tmp_path_factory):
+        m = data.draw(meshes(n_verts, n_faces))
+        d = tmp_path_factory.mktemp("ascii")
+        write_ply(m, str(d / "m.ply"))
+        write_obj(m, str(d / "m.obj"))
+        ply = (d / "m.ply").read_bytes()
+        body = ply[ply.index(b"end_header\n") + len(b"end_header\n"):]
+        assert body == line_ply_text(m).encode("ascii")
+        assert (d / "m.obj").read_bytes() == line_obj_text(m).encode("ascii")
+        back = read_ply(str(d / "m.ply"))
+        nan = np.isnan(m.vertices)  # any NaN is written, and read, as "nan"
+        assert np.array_equal(np.isnan(back.vertices), nan)
+        assert back.vertices[~nan].tobytes() == m.vertices[~nan].tobytes()
+        assert np.array_equal(back.faces, m.faces)
+
+
 THREE_KINDS = np.array([Causal.SPACELIKE, Causal.TIMELIKE, Causal.NULL])
 
 
@@ -356,6 +420,13 @@ class TestArrayPaths:
         assert np.array_equal(m.vertices, verts)
         assert np.array_equal(m.faces, faces)
         assert m.faces.dtype == np.int64
+
+    def test_unknown_kind_rejected(self):
+        def evaluate(U, V):
+            return np.stack([U, V, V], axis=-1), np.full(U.shape, "spacelike")
+
+        with pytest.raises(ValueError, match="lorentz.Causal"):
+            build_grid_mesh(evaluate, [0.0, 1.0], [0.0, 1.0])
 
     def test_binary_ply_matches_struct_writer(self, tmp_path):
         m = build_grid_mesh(three_colour_evaluate, np.linspace(-1, 1, 6),
@@ -477,6 +548,10 @@ class TestArgumentErrors:
             (["bounds", "--c=1e160", "--out", "{out}"], C_HUGE),
             (["bounds", "--c=1e-400", "--out", "{out}"], f"c = 1/{10**400}"),
             (["bounds", "--c", "1", "--delta", "1e300", "--out", "{out}"], "c = 1 "),
+            # Newton fails at many points; the first in grid order is named
+            (["mesh", "--surface", "catalog:mixed_cone_type",
+              "--grid=0.1:3:101,0.2:1.4:101", "--out", "{out}"],
+             "catalog:mixed_cone_type has no jet at (1.028, 1.388): Newton iteration"),
         ],
     )
     def test_exits_2(self, argv, message, coeffs_iii, coeffs_big, tmp_path, capsys):
