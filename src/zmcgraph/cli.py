@@ -5,9 +5,9 @@ Subcommands:
 * ``construct``: build a series by case tag and parameter, write coefficient JSON;
   every case substitutes c into the cached unit-c table.
 * ``classify``: causal classification of a series or catalog surface on a grid.
-  For a coefficient series the sign of B is exact by default: float
-  arithmetic under a proven error bound decides most points, exact rational
-  arithmetic the rest, so the verdict is still exact.
+  For a coefficient series the sign of B is exact: float arithmetic under a
+  proven error bound decides most points, exact rational arithmetic the
+  rest.  A catalog surface reads |B| <= --tol as null.
 * ``bounds``: convergence certificate, width profile and non-convexity witness.
 * ``verify``: the verification suites (recursion equivalence, coefficient
   growth estimates, surface corpus).
@@ -27,15 +27,14 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import catalog, mesh as mesh_mod
-from .lorentz import Causal, classify, first_form, graph_af_bf
+from .lorentz import Causal, classify, first_form
 from .poly import RationalPoly
 from .series import (
     GraphSeries,
     SeedCondition,
     SeriesCase,
     beta8_sign_note,
-    causal_signs,
-    psi_jet,
+    _causal_signs,
     series_from_expansion,
     series_from_json,
     series_from_recursion,
@@ -161,15 +160,40 @@ def _summary_verdict(counts: dict[str, int], min_points: int = 5) -> str:
     return "light-like"
 
 
+def _catalog_grid(e: catalog.SurfaceEntry, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """Points (x, y, t), shaped (NX, NY, 3), and B of entry e on xs x ys, from
+    one ``e.jet`` call; a ValueError names the first point in grid order that
+    has no jet or a non-finite B."""
+    label = f"catalog:{e.name}"
+    U, V = np.meshgrid(xs, ys, indexing="ij")
+    with np.errstate(all="ignore"):  # overflow to inf is caught below
+        try:
+            j = e.jet(U, V)
+        except _NO_JET:  # so some point has no jet: name the first
+            for u, v in zip(U.ravel().tolist(), V.ravel().tolist()):
+                try:
+                    e.jet(u, v)
+                except _NO_JET as err:
+                    raise ValueError(f"{label} has no jet at ({u!r}, {v!r}): {err}")
+            raise
+        B = np.broadcast_to(first_form(j)[1], U.shape)
+    bad = np.flatnonzero(~np.isfinite(B))
+    if len(bad):
+        u, v, b = (a.flat[bad[0]].item() for a in (U, V, B))
+        raise ValueError(f"{label} has no finite B at ({u!r}, {v!r}): B = {b}")
+    return np.stack([np.broadcast_to(c, U.shape) for c in j.f], axis=-1), B
+
+
 def _resolve_source(args, n: int):
     """The --coeffs or --surface source of ``classify`` and ``mesh``.
 
-    Returns (label, xs, ys, sample, series).  ``sample(X, Y)`` maps the whole
-    ``np.meshgrid(xs, ys, indexing="ij")`` to the float arrays of surface
-    points (x, y, t), shaped X.shape + (3,), and of B; ``series`` is the
-    GraphSeries for --coeffs and None for a catalog surface.  Without --grid
-    the grid is n x n points spanning 0.999 of the delta = 1 certified
-    rectangle (series) or the entry's sampling domain (catalog).
+    Returns (label, xs, ys, sample, series).  ``sample()`` gives the points
+    (x, y, t) of ``np.meshgrid(xs, ys, indexing="ij")``, shaped (NX, NY, 3),
+    the int8 sign of B at each, exact for a series and outside the band
+    |B| <= --tol for a catalog surface, and the exact fallback count (None
+    for a catalog surface).  ``series`` is the GraphSeries for --coeffs, else
+    None.  Without --grid the grid is n x n points spanning 0.999 of the
+    delta = 1 certified rectangle (series) or the entry's domain (catalog).
     """
     classify(0.0, args.tol)  # rejects a bad --tol before any work or output
     if args.coeffs:
@@ -178,43 +202,25 @@ def _resolve_source(args, n: int):
         half = 0.999 * bounds_mod.u_halfwidth(s.seed.c, 0.0)
         domain = ((-half, half), (-0.999, 0.999))
 
-        def sample(X, Y):
-            jet = psi_jet(s, X, Y)
-            return np.stack([X, Y, jet.value], axis=-1), graph_af_bf(jet)[1]
+        def sample():
+            signs, fallbacks, value = _causal_signs(s, xs, ys)
+            X, Y = np.meshgrid(xs, ys, indexing="ij")
+            return np.stack([X, Y, value], axis=-1), signs, fallbacks
 
     else:
         s = None
         e = catalog.entry(args.surface.removeprefix("catalog:"))
         label, domain = f"catalog:{e.name}", e.domain
 
-        def sample(U, V):
-            # overflow to inf and inf - inf are as silent as in float arithmetic
-            with np.errstate(all="ignore"):
-                try:
-                    j = e.jet(U, V)
-                except _NO_JET:  # so some point has no jet: name the first
-                    for u, v in zip(U.ravel().tolist(), V.ravel().tolist()):
-                        try:
-                            e.jet(u, v)
-                        except _NO_JET as err:
-                            raise ValueError(
-                                f"{label} has no jet at ({u!r}, {v!r}): {err}"
-                            )
-                    raise
-                B = first_form(j)[1]
-            points = np.stack([np.broadcast_to(c, U.shape) for c in j.f], axis=-1)
-            return points, np.broadcast_to(B, U.shape)
+        def sample():
+            points, B = _catalog_grid(e, xs, ys)
+            return points, (B > args.tol).astype(np.int8) - (B < -args.tol), None
 
     if args.grid is not None:
         xs, ys = args.grid
     else:
         xs, ys = (np.linspace(lo, hi, n) for lo, hi in domain)
     return label, xs, ys, sample, s
-
-
-def _band_signs(b: np.ndarray, tol: float) -> np.ndarray:
-    """Sign of each float B outside the null band |B| <= tol; NaN reads null."""
-    return (b > tol).astype(np.int8) - (b < -tol)
 
 
 def cmd_classify(args) -> int:
@@ -233,11 +239,7 @@ def cmd_classify(args) -> int:
             )
             return EXIT_CERT
 
-    exact = args.exact if args.exact is not None else s is not None
-    if exact:  # exact B, so null only where B is 0
-        signs, fallbacks = causal_signs(s, xs, ys)
-    else:
-        signs = _band_signs(sample(*np.meshgrid(xs, ys, indexing="ij"))[1], args.tol)
+    _, signs, fallbacks = sample()
     grid = _KINDS[signs].tolist()
     counts = {k.value: sum(row.count(k) for row in grid) for k in Causal}
     verdict = _summary_verdict(counts)
@@ -249,7 +251,7 @@ def cmd_classify(args) -> int:
     print(f"  verdict: {verdict}")
     report = {
         "surface": label,
-        "exact": exact,
+        "exact": s is not None,
         "tol": args.tol,
         "grid": {
             "x": [float(xs[0]), float(xs[-1]), len(xs)],
@@ -267,7 +269,7 @@ def cmd_classify(args) -> int:
             for x, row in zip(xs, grid)
         ],
     }
-    if exact:  # grid points whose sign the float filter left to af_bf_exact
+    if s is not None:  # grid points whose sign the float filter left to af_bf_exact
         report["exact_fallbacks"] = fallbacks
     if args.out:
         _write_json(report, args.out)
@@ -402,9 +404,9 @@ def cmd_verify(args) -> int:
 def cmd_mesh(args) -> int:
     _, xs, ys, sample, _ = _resolve_source(args, 33)
 
-    def evaluate(X, Y):
-        points, b = sample(X, Y)
-        return points, _KINDS[_band_signs(b, args.tol)]
+    def evaluate(X, Y):  # the grid sample() already holds
+        points, signs, _ = sample()
+        return points, _KINDS[signs]
 
     m = mesh_mod.build_grid_mesh(evaluate, xs, ys)
     try:
@@ -453,9 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--exact",
         action=argparse.BooleanOptionalAction,
         default=None,
-        help="exact sign of B (default: on for series); float arithmetic "
-        "under a proven error bound, exact rational arithmetic where the "
-        "bound cannot decide, so the verdict is still exact",
+        help="no effect, kept for old scripts: series signs are always exact "
+        "and catalog signs use --tol (--exact on a catalog surface exits 2)",
     )
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_classify)

@@ -470,18 +470,18 @@ def _horner(coeffs: Sequence, y):
     return v
 
 
-def _jet(table, x, y, power) -> tuple:
+def _jet(table, x, y, power, second: bool = True) -> tuple:
     """(value, px, py - 1, pxx, pxy, pyy) of y + sum_k beta_k(y) x^k / k.
 
     Integer literals only, so one body serves Fraction, float and ndarray
-    arguments; ``power(x, n)`` is x to the n-th power.  The third entry is
-    q = py - 1, summed directly, so B = -(px^2 + q (2 + q)) can be formed
-    without the cancellation of 1 - py^2 near the null line.
+    arguments; ``power(x, n)`` is x to the n-th power; ``second=False``
+    leaves pxx, pxy and pyy at 0.  The third entry, q = py - 1, is summed
+    directly, so B = -(px^2 + q (2 + q)) avoids 1 - py^2's cancellation.
     """
     value = y
     px = q = pxx = pxy = pyy = 0
     for k, cb, cbd, cbdd in table:
-        bk, bdk, bddk = _horner(cb, y), _horner(cbd, y), _horner(cbdd, y)
+        bk, bdk = _horner(cb, y), _horner(cbd, y)
         xk2 = power(x, k - 2)
         xk1 = xk2 * x
         xk = xk1 * x
@@ -489,9 +489,10 @@ def _jet(table, x, y, power) -> tuple:
         value = value + bk * xk / k
         px = px + bk * xk1
         q = q + bdk * xk / k
-        pxx = pxx + (k - 1) * bk * xk2
-        pxy = pxy + bdk * xk1
-        pyy = pyy + bddk * xk / k
+        if second:
+            pxx = pxx + (k - 1) * bk * xk2
+            pxy = pxy + bdk * xk1
+            pyy = pyy + _horner(cbdd, y) * xk / k
     return value, px, q, pxx, pxy, pyy
 
 
@@ -532,25 +533,70 @@ def af_bf_exact(s: GraphSeries, x: Fraction, y: Fraction) -> tuple[Fraction, Fra
     return graph_af_bf(GraphJet(*graph_jet_exact(s, x, y)))
 
 
-_REALMIN = 2.0**-1022  # smallest normal float64
-# smallest magnitude sum M the filter trusts: above it g * M is a normal float,
-# and the absolute error of a final product that underflows is far below the
-# slack in g
-_M_MIN = 2.0**-900
-
-
 def _filter_factor(n: int) -> float:
     """A float g >= gamma_n / (1 - gamma_n) with room for rounding g * M.
 
     gamma_n = n u / (1 - n u) bounds n relative roundings of unit roundoff
     u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms, 3.1).
-    The factor 1 + 2^-40 covers the rounding of the product g * M and the
-    absolute error of final products that underflow while M >= _M_MIN.
+    The factor 1 + 2^-40 covers the rounding of the product g * M.
     """
     u = Fraction(1, 2**53)
     gamma = n * u / (1 - n * u)
     g = gamma / (1 - gamma) * (1 + Fraction(1, 2**40))
     return math.nextafter(float(g), math.inf)
+
+
+def _filtered_b(s: GraphSeries, x, y) -> tuple:
+    """(value, B, bound) of the float jet at x, y, with |B - exact B| <= bound.
+
+    Called on axes (``xs[:, None]``, ``ys[None, :]``), so each Horner runs on
+    the y axis only; ``value`` equals ``psi_jet``'s bit for bit.
+
+    Relative part (Higham, 3.1): every monomial of px and q, a coefficient
+    times y^i x^j, passes through at most N = 2 d + T + 6 roundings: the
+    coefficient to float, 2 d in Horner (Higham, 5.1), 4 for
+    ``np.float_power`` taken as 2 ulp, two products for x^k, the product with
+    beta_k, the division by k and T - 1 additions (d the largest degree, T
+    the number of nonzero beta_k).  Forming B adds 3: the error is at most
+    gamma_(2N+3) M, M = |px|^2 + |q| (2 + |q|) over monomial magnitudes,
+    which the jet of the magnitude table bounds once divided by 1 - gamma.
+
+    Absolute part (gradual underflow, Higham 2.1): a subnormal conversion,
+    product or quotient may err by eta = 2^-1075 instead, a pow by 4 eta, a
+    sum not at all.  Through the later factors of their monomials these add
+    at most a = 2 eta w to px and q, w = P max(1, |x|)^kmax max(1, |y|)^d,
+    P = sum_k (2 d_k + 4 + 6 sum of the |coefficients| of beta_k, beta_k');
+    B gains at most 2.1 a (|px| + |q| + 1 + 2 a) + 2 eta, M's run loses no
+    more, and 16 eta w (|px| + |q| + 1 + 2 a) covers both and its rounding.
+    """
+    _, floats, mags = s._jet_tables()
+    kmax = max(k for k, *_ in floats)
+    dmax = max(len(cb) - 1 for _, cb, _, _ in floats)
+    g = _filter_factor(2 * (2 * dmax + len(floats) + 6) + 3)
+    P = sum(2 * len(b) + 2 + 6 * math.fsum(b + bd) for _, b, bd, _ in mags)
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by the caller
+        value, px, q, *_ = _jet(floats, x, y, np.float_power, second=False)
+        _, pm, qm, *_ = _jet(mags, np.abs(x), np.abs(y), np.float_power, second=False)
+        B = -(px * px + q * (2 + q))
+        w = P * np.float_power(np.maximum(np.abs(x), 1.0), kmax)
+        w = w * np.float_power(np.maximum(np.abs(y), 1.0), dmax)
+        bound = g * (pm * pm + qm * (2 + qm))
+        bound = bound + 2.0**-1071 * w * (pm + qm + 1 + 2.0**-1073 * w)
+    return value, B, bound
+
+
+def _causal_signs(s: GraphSeries, xs, ys) -> tuple[np.ndarray, int, np.ndarray]:
+    """``causal_signs`` and the float heights psi on the same grid."""
+    xs, ys = np.asarray(xs, float), np.asarray(ys, float)
+    value, B, bound = _filtered_b(s, xs[:, None], ys[None, :])
+    on_axis = xs[:, None] == 0
+    decided = ~on_axis & np.isfinite(B) & (np.abs(B) > bound)
+    signs = np.where(decided, np.where(B > 0, 1, -1), 0).astype(np.int8)
+    rest = np.argwhere(~decided & ~on_axis)
+    for i, j in rest:
+        b = af_bf_exact(s, Fraction(float(xs[i])), Fraction(float(ys[j])))[1]
+        signs[i, j] = (b > 0) - (b < 0)
+    return signs, len(rest), value
 
 
 def causal_signs(s: GraphSeries, xs, ys) -> tuple[np.ndarray, int]:
@@ -561,58 +607,11 @@ def causal_signs(s: GraphSeries, xs, ys) -> tuple[np.ndarray, int]:
     the exact B of ``af_bf_exact`` at the same float coordinates everywhere.
 
     A filtered predicate (Shewchuk, Adaptive Precision Floating-Point
-    Arithmetic and Fast Robust Geometric Predicates, 1997).  The float jet
-    gives px and q = py - 1, and B = -(px^2 + q (2 + q)).  Every monomial of
-    px and q, a coefficient times y^i x^j, passes through at most
-    N = 2 d + T + 6 roundings: the coefficient to float, 2 d in Horner
-    (Higham, 5.1), 4 for ``np.float_power`` taken as 2 ulp, two products for
-    x^k, the product with beta_k, the division by k and T - 1 additions (d
-    the largest degree, T the number of nonzero beta_k).  Forming B adds 3,
-    so |B_float - B| <= gamma_(2N+3) M, where M = |px|^2 + |q| (2 + |q|) sums
-    the magnitudes of the monomials; running the same jet on the magnitude
-    table at |x|, |y| bounds M from above once divided by 1 - gamma.
-
-    x = 0 is null exactly, since every monomial of px and q carries a power
-    of x.  A point goes to ``af_bf_exact`` when |B_float| does not exceed the
-    bound, or when a product in the jet could leave the normal float range,
-    which voids the gamma bounds: by underflow (checked through a lower
-    bound on every nonzero product) or by overflow (a non-finite B or M).
+    Arithmetic and Fast Robust Geometric Predicates, 1997): x = 0 is null
+    exactly, the float B decides where it exceeds its proven error bound
+    (``_filtered_b``), and ``af_bf_exact`` decides the rest.
     """
-    X, Y = np.meshgrid(np.asarray(xs, float), np.asarray(ys, float), indexing="ij")
-    exact, floats, mags = s._jet_tables()
-    kmax = max(k for k, *_ in floats)
-    dmax = max(len(cb) - 1 for _, cb, _, _ in floats)
-    # the smallest nonzero coefficient as a float; 0 if one rounds to 0
-    cmin = min(
-        abs(f) for erow, frow in zip(exact, floats)
-        for es, fs in zip(erow[1:], frow[1:]) for e, f in zip(es, fs) if e
-    )
-
-    g = _filter_factor(2 * (2 * dmax + len(floats) + 6) + 3)
-    # every nonzero Horner partial sum is >= cmin 2^-54 min(|y|, 1)^d (and
-    # y = 0 makes each product exactly 0); every power of x used is
-    # >= min(|x|, 1)^kmax; each product in the jet is at least their product
-    # over kmax, and 4 realmin leaves room for the rounding of this check
-    ty = np.where(Y == 0, 1.0, np.minimum(np.abs(Y), 1.0))
-    lowest = (
-        cmin * 2.0**-54 * np.float_power(ty, dmax)
-        * np.float_power(np.minimum(np.abs(X), 1.0), kmax) / kmax
-    )
-    with np.errstate(over="ignore", invalid="ignore"):  # caught by isfinite
-        _, px, q, *_ = _jet(floats, X, Y, np.float_power)
-        _, pm, qm, *_ = _jet(mags, np.abs(X), np.abs(Y), np.float_power)
-        B = -(px * px + q * (2 + q))
-        M = pm * pm + qm * (2 + qm)
-        decided = (
-            (X != 0) & (lowest >= 4 * _REALMIN) & (M >= _M_MIN)
-            & np.isfinite(B) & (np.abs(B) > g * M)
-        )
-    signs = np.where(decided, np.where(B > 0, 1, -1), 0).astype(np.int8)
-    rest = np.argwhere(~decided & (X != 0))
-    for i, j in rest:
-        b = af_bf_exact(s, Fraction(float(X[i, j])), Fraction(float(Y[i, j])))[1]
-        signs[i, j] = (b > 0) - (b < 0)
-    return signs, len(rest)
+    return _causal_signs(s, xs, ys)[:2]
 
 
 def af_fd_exact(s: GraphSeries, x: Fraction, y: Fraction, h: Fraction) -> Fraction:

@@ -16,7 +16,7 @@ from zmcgraph.catalog import (
     hyperbolic_catenoid_height,
     implicit_solve,
 )
-from zmcgraph.cli import _NO_JET, _resolve_source, build_parser
+from zmcgraph.cli import _NO_JET, _catalog_grid, _resolve_source, build_parser
 from zmcgraph.lorentz import (
     fd_graph_jet,
     first_form,
@@ -217,23 +217,21 @@ class TestArrayJets:
         argv = ["mesh", "--surface", f"catalog:{name}", "--out", "unused.ply"]
         if grid == "off-centre":
             argv.append(off_centre_grid(name))
-        _, xs, ys, sample, _ = _resolve_source(build_parser().parse_args(argv), 33)
+        args = build_parser().parse_args(argv)
+        _, xs, ys, sample, _ = _resolve_source(args, 33)
         U, V = np.meshgrid(xs, ys, indexing="ij")
         e = entry(name)
-        try:
-            points, B = loop_sample(e, U, V)
-        except _NO_JET as err:  # only hyperbolic_catenoid's cone point (0, 0)
-            assert (name, grid) == ("hyperbolic_catenoid", "default")
-            with pytest.raises(_NO_JET):
-                e.jet(U, V)
-            with pytest.raises(ValueError, match=r"no jet at \(0\.0, 0\.0\)") as got:
-                sample(U, V)
-            assert str(got.value).endswith(f": {err}")
-            return
-        got_points, got_B = sample(U, V)
+        points, B = loop_sample(e, U, V)
+        got_points, got_B = _catalog_grid(e, xs, ys)
         assert got_points.shape == points.shape and got_B.shape == B.shape
         assert got_points.tobytes() == points.tobytes()
         assert got_B.tobytes() == B.tobytes()
+        # the sampler classify and mesh consume: these points, the band signs of B
+        sampled, signs, fallbacks = sample()
+        assert sampled.tobytes() == points.tobytes()
+        band = (B > args.tol).astype(np.int8) - (B < -args.tol)
+        assert signs.dtype == np.int8 and np.array_equal(signs, band)
+        assert fallbacks is None
         # and every other entry of the jet
         jet, ref = e.jet(U, V), [e.jet(u, v) for u, v in zip(U.ravel().tolist(),
                                                             V.ravel().tolist())]
@@ -242,3 +240,28 @@ class TestArrayJets:
                 got = np.broadcast_to(getattr(jet, field.name)[k], U.shape).ravel()
                 want = np.array([getattr(r, field.name)[k] for r in ref])
                 assert got.tobytes() == want.tobytes(), (field.name, k)
+
+    def test_sampler_names_first_point_without_jet(self):
+        # hyperbolic_catenoid has no jet at its cone point (0, 0)
+        argv = ["mesh", "--surface", "catalog:hyperbolic_catenoid",
+                "--grid=-1:1:3,-1:1:3", "--out", "unused.ply"]
+        _, xs, ys, sample, _ = _resolve_source(build_parser().parse_args(argv), 33)
+        e, (U, V) = entry("hyperbolic_catenoid"), np.meshgrid(xs, ys, indexing="ij")
+        with pytest.raises(_NO_JET) as err:
+            loop_sample(e, U, V)
+        with pytest.raises(_NO_JET):
+            e.jet(U, V)
+        with pytest.raises(ValueError, match=r"no jet at \(0\.0, 0\.0\)") as got:
+            sample()
+        assert str(got.value).endswith(f": {err.value}")
+
+    def test_sampler_names_first_non_finite_b(self):
+        # B ~ cosh(v)^4 overflows to inf from v ~ 179 on, and is NaN from
+        # inf - inf further up; neither is a verdict
+        xs, ys = np.linspace(-1, 1, 5), np.linspace(100, 400, 7)
+        e = entry("elliptic_catenoid")
+        B = loop_sample(e, *np.meshgrid(xs, ys, indexing="ij"))[1]
+        assert np.isfinite(B[:, :2]).all() and not np.isfinite(B[:, 2:]).any()
+        assert np.isnan(B).any()
+        with pytest.raises(ValueError, match=r"no finite B at \(-1\.0, 200\.0\)"):
+            _catalog_grid(e, xs, ys)

@@ -2,12 +2,14 @@
 import argparse
 import json
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from zmcgraph import catalog
+from zmcgraph.bounds import u_halfwidth
 from zmcgraph.cli import MAX_GRID_POINTS, _grid, main
 from zmcgraph.lorentz import Causal
 from zmcgraph.mesh import (
@@ -18,6 +20,15 @@ from zmcgraph.mesh import (
     read_ply,
     write_obj,
     write_ply,
+)
+from zmcgraph.series import (
+    SeedCondition,
+    SeriesCase,
+    causal_signs,
+    psi_jet,
+    series_from_expansion,
+    series_from_json,
+    series_to_json,
 )
 
 
@@ -267,6 +278,91 @@ class TestMeshCommand:
     def test_io_failure_exits_4(self, coeffs_ii):
         assert run("mesh", "--coeffs", coeffs_ii,
                    "--out", "/nonexistent-dir/x.ply") == 4
+
+
+# vertex colour of each sign of B
+SIGN_RGB = {1: CAUSAL_COLORS[Causal.SPACELIKE], -1: CAUSAL_COLORS[Causal.TIMELIKE],
+            0: CAUSAL_COLORS[Causal.NULL]}
+
+
+def sign_colours(signs):
+    return [SIGN_RGB[int(k)] for k in np.ravel(signs)]
+
+
+def certified_axes(s, n):
+    """The default grid of classify (n = 21) and mesh (n = 33)."""
+    half = 0.999 * u_halfwidth(s.seed.c, 0.0)
+    return np.linspace(-half, half, n), np.linspace(-0.999, 0.999, n)
+
+
+@st.composite
+def series_meshes(draw):
+    """A series of random rational c and order, and a grid inside its
+    certified rectangle given as a --grid argument."""
+    case = draw(st.sampled_from(["i", "ii", "iii"]))
+    c = draw(st.fractions(min_value=Fraction(1, 64), max_value=64, max_denominator=1000))
+    s = series_from_expansion(
+        SeedCondition(SeriesCase(case), -c if case == "ii" else c),
+        draw(st.integers(4, 24)),
+    )
+    half = u_halfwidth(s.seed.c, 0.0)
+    x0, x1 = (draw(st.floats(0.05, 0.99)) * half * sign for sign in (-1, 1))
+    y0, y1 = (draw(st.floats(0.05, 0.99)) * sign for sign in (-1, 1))
+    nx, ny = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    return s, f"--grid={x0!r}:{x1!r}:{nx},{y0!r}:{y1!r}:{ny}"
+
+
+class TestSeriesSigns:
+    """classify and mesh take a series' signs from causal_signs alone."""
+
+    @pytest.mark.parametrize("case,c", [("i", "1"), ("ii", "-1"), ("iii", "1")])
+    def test_colours_and_counts_equal_causal_signs(self, case, c, tmp_path):
+        coeffs, ply, report = (tmp_path / n for n in ("s.json", "m.ply", "r.json"))
+        assert run("construct", "--case", case, "--c", c, "--out", str(coeffs)) == 0
+        assert run("mesh", "--coeffs", str(coeffs), "--out", str(ply)) == 0
+        assert run("classify", "--coeffs", str(coeffs), "--out", str(report)) == 0
+        s = series_from_json(json.load(open(coeffs)))
+        signs = causal_signs(s, *certified_axes(s, 33))[0]
+        m = read_ply(str(ply))
+        assert [tuple(v) for v in m.vertices[:, 3:]] == sign_colours(signs)
+        data = json.load(open(report))
+        signs = causal_signs(s, *certified_axes(s, 21))[0]
+        want = {"spacelike": 1, "timelike": -1, "null": 0}
+        assert data["counts"] == {k: int((signs == v).sum()) for k, v in want.items()}
+        chars = np.array(["n", "s", "t"])[signs]  # indexed by sign: 0, 1, -1
+        assert data["verdict_rows"] == ["".join(row) for row in chars]
+
+    def test_no_exact_changes_nothing(self, coeffs_i, coeffs_ii, tmp_path):
+        for coeffs in (coeffs_i, coeffs_ii):
+            a, b = tmp_path / "a.json", tmp_path / "b.json"
+            assert run("classify", "--coeffs", coeffs, "--out", str(a)) == 0
+            assert run("classify", "--coeffs", coeffs, "--no-exact",
+                       "--out", str(b)) == 0
+            assert a.read_bytes() == b.read_bytes()
+            assert json.loads(a.read_text())["exact"] is True
+
+    @settings(max_examples=25, deadline=None)
+    @given(series_meshes())
+    def test_random_series_meshes(self, tmp_path_factory, mesh_case):
+        s, grid = mesh_case
+        d = tmp_path_factory.mktemp("random-mesh")
+        coeffs, ascii_ply, binary_ply = d / "s.json", d / "a.ply", d / "b.ply"
+        coeffs.write_text(json.dumps(series_to_json(s)))
+        assert run("mesh", "--coeffs", str(coeffs), grid, "--out", str(ascii_ply)) == 0
+        assert run("mesh", "--coeffs", str(coeffs), grid, "--ply-binary",
+                   "--out", str(binary_ply)) == 0
+        xs, ys = _grid(grid.removeprefix("--grid="))
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        xyz = np.stack([X, Y, psi_jet(s, X, Y).value], axis=-1).reshape(-1, 3)
+        m = read_ply(str(ascii_ply))
+        assert m.vertices[:, :3].tobytes() == xyz.tobytes()
+        assert [tuple(v) for v in m.vertices[:, 3:]] == sign_colours(
+            causal_signs(s, xs, ys)[0]
+        )
+        b = read_ply(str(binary_ply))
+        assert np.array_equal(b.vertices[:, :3], xyz.astype(np.float32))
+        assert np.array_equal(b.vertices[:, 3:], m.vertices[:, 3:])
+        assert np.array_equal(b.faces, m.faces)
 
 
 def loop_grid_mesh(evaluate, us, vs):
@@ -532,7 +628,8 @@ class TestArgumentErrors:
              "tol must be finite"),
             (["mesh", "--surface", "catalog:elliptic_catenoid", "--tol", "inf",
               "--out", "{out}"], "tol must be finite"),
-            (["classify", "--surface", "catalog:hyperbolic_catenoid", "--out", "{out}"],
+            (["classify", "--surface", "catalog:hyperbolic_catenoid",
+              "--grid=-1:1:3,-1:1:3", "--out", "{out}"],
              "catalog:hyperbolic_catenoid has no jet at (0.0, 0.0)"),
             # coefficients beyond float range: the float jet table
             (["classify", "--coeffs", "{big}", "--out", "{out}"], C_BIG),
@@ -552,6 +649,13 @@ class TestArgumentErrors:
             (["mesh", "--surface", "catalog:mixed_cone_type",
               "--grid=0.1:3:101,0.2:1.4:101", "--out", "{out}"],
              "catalog:mixed_cone_type has no jet at (1.028, 1.388): Newton iteration"),
+            # B overflows: inf from v ~ 179 on, NaN from inf - inf above 370
+            (["classify", "--surface", "catalog:elliptic_catenoid",
+              "--grid=-1:1:5,300:400:5", "--out", "{out}"],
+             "catalog:elliptic_catenoid has no finite B at (-1.0, 300.0): B = inf"),
+            (["mesh", "--surface", "catalog:elliptic_catenoid",
+              "--grid=-1:1:5,375:400:5", "--out", "{out}"],
+             "catalog:elliptic_catenoid has no finite B at (-1.0, 375.0): B = nan"),
         ],
     )
     def test_exits_2(self, argv, message, coeffs_iii, coeffs_big, tmp_path, capsys):

@@ -649,9 +649,12 @@ class TestCausalSigns:
     @given(sign_grids())
     def test_equals_exact_sign(self, grid):
         s, xs, ys = grid
-        signs, fallbacks = causal_signs(s, xs, ys)
+        signs, fallbacks, value = series_mod._causal_signs(s, xs, ys)
         assert signs.dtype == np.int8
         assert np.array_equal(signs, exact_signs(s, xs, ys))
+        # the heights come out of the same jet, equal to psi_jet's bit for bit
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        assert value.tobytes() == psi_jet(s, X, Y).value.tobytes()
         # the tiny |x| row always goes to exact arithmetic, x = 0 never does
         assert len(ys) <= fallbacks <= (len(xs) - 1) * len(ys)
 
@@ -669,12 +672,75 @@ class TestCausalSigns:
                 assert (off_axis == (-1 if s.seed.c > 0 else 1)).all()
 
     def test_tiny_x_falls_back(self, series_iii_c1_n8):
-        # x^4 underflows to 0 in the first two rows; in the last B ~ 2e-160
-        # is a normal float, but x^8 is not, which voids the gamma bounds
+        # x^4 underflows to 0 in the first two rows, so B_float = 0 decides
+        # nothing; in the last B ~ 2e-160 is a normal float and x^8 is not,
+        # which the absolute underflow term covers, so the float decides
         xs, ys = [1e-300, -1e-250, 1e-40], [-0.5, 0.5]
         signs, fallbacks = causal_signs(series_iii_c1_n8, xs, ys)
-        assert fallbacks == 6
+        assert fallbacks == 4
         assert (signs == -1).all()
+
+    @pytest.mark.parametrize(
+        "case,c,order,xs,ys,line",
+        [
+            # linspace puts -1.36e-20 where x = 0 should be: column 100
+            ("iii", 1, 16, (-1e-4, 1e-4, 201), (-1, 1, 201), (100, None)),
+            # and 1.1e-16 where y = 0 should be: row 100
+            ("i", Fraction(7, 5), 16, "default", 201, (None, 100)),
+            # the middle column sits at x = -2.17e-19
+            ("i", Fraction(149, 230), 16, "default", 21, (10, None)),
+        ],
+    )
+    def test_tiny_coordinates_decide_in_float(self, case, c, order, xs, ys, line):
+        s = series_from_expansion(seed(case, c), order)
+        if xs == "default":
+            half = 0.999 * u_halfwidth(s.seed.c, 0.0)
+            xs, ys = (-half, half, ys), (-0.999, 0.999, ys)
+        xs, ys = np.linspace(*xs), np.linspace(*ys)
+        i, j = line
+        assert 0 < abs(xs[i] if i is not None else ys[j]) < 1e-15
+        signs, fallbacks = causal_signs(s, xs, ys)
+        assert fallbacks == 0
+        sub = slice(None, None, 10)  # every tenth point of that line
+        if i is not None:
+            got, want = signs[i, sub], exact_signs(s, xs[i:i + 1], ys[sub])[0]
+        else:
+            got, want = signs[sub, j], exact_signs(s, xs[sub], ys[j:j + 1])[:, 0]
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("case,order,lo,hi", [("iii", 8, -81.5, -77),
+                                                  ("i", 4, -108.5, -102)])
+    def test_bound_covers_underflow(self, case, order, lo, hi):
+        # q ~ x^4 (case iii) or x^3 (case i) is subnormal at these x, so its
+        # error is absolute, far above gamma M; only the underflow term of
+        # the bound covers it
+        s = series_from_expansion(seed(case, 1), order)
+        rng = np.random.default_rng(2)
+        xs = 10.0 ** rng.uniform(lo, hi, 60) * rng.choice([-1, 1], 60)
+        ys = rng.uniform(-1, 1, 4)
+        _, B, bound = series_mod._filtered_b(s, xs[:, None], ys[None, :])
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                b = af_bf_exact(s, Fraction(float(x)), Fraction(float(y)))[1]
+                assert abs(Fraction(float(B[i, j])) - b) <= Fraction(float(bound[i, j]))
+        # and it is small enough that the float still decides most of them
+        assert (np.abs(B) > bound).mean() > 0.5
+
+    def test_underflow_cancellation_falls_back(self):
+        # case i, order 4: B = -(px^2 + q (2 + q)) changes sign near
+        # x = -2 / (9 y^2).  At y = 1e53 that is x ~ -2e-107, where px^2 and
+        # q are subnormal: the float B has the wrong sign at some of these
+        # points, and without the underflow term the filter would trust it
+        s = series_from_expansion(seed("i", 1), 4)
+        y = 1e53
+        xs = -2 / (9 * y * y) * np.linspace(0.8, 1.2, 41)
+        _, B, _ = series_mod._filtered_b(s, xs[:, None], np.array([[y]]))
+        want = exact_signs(s, xs, [y])
+        assert set(np.unique(want)) == {-1, 1}
+        assert ((np.sign(B) != want) & (B != 0)).any()
+        signs, fallbacks = causal_signs(s, xs, [y])
+        assert np.array_equal(signs, want)
+        assert fallbacks == len(xs)
 
     def test_consecutive_floats_across_a_sign_change(self):
         # case i changes type near x = -2 / (9 c y^2); next to that curve
