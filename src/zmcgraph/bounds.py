@@ -10,7 +10,11 @@ hold on |y| <= delta with the growth constant
 
     M_delta = 3 max(144 tau |c| delta^(3/2), (192 c^2 tau)^(1/4)),
 
-where tau bounds t * integral_t^(1-t) du / (u^2 (1-u)^2) on 0 < t < 1/2.
+where tau bounds g(t) = t * integral_t^(1-t) du / (u^2 (1-u)^2) on
+0 < t < 1/2.  ``tau_constant`` proves that bound from the closed forms of g
+and its slope by bisection, with the standard library only;
+``tau_integrand_quadrature``, the quadrature cross-check of g, needs scipy
+from the ``test`` extra.
 They guarantee the series converges on the open rectangle
 
     V_delta = (-1/C_delta, 1/C_delta) x (-delta, delta),   C_delta = sqrt(delta) M_delta,
@@ -30,9 +34,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
 from .series import GraphSeries, SeriesCase
 
@@ -74,8 +75,21 @@ def tau_integrand_scaled(t: float) -> float:
     return 2.0 - 2.0 * t / (1.0 - t) + 4.0 * t * math.log((1.0 - t) / t)
 
 
+def tau_integrand_slope(t: float) -> float:
+    """g'(t) = -2/(1-t)^2 + 4 ln((1-t)/t) - 4t/(1-t) - 4, the slope of g."""
+    if not 0.0 < t <= 0.5:
+        raise ValueError("t must lie in (0, 1/2]")
+    u = 1.0 - t
+    return -2.0 / u**2 + 4.0 * math.log(u / t) - 4.0 * t / u - 4.0
+
+
 def tau_integrand_quadrature(t: float) -> float:
-    """The same g(t) by adaptive quadrature, for cross-validation."""
+    """The same g(t) by adaptive quadrature, for cross-validation.
+
+    Needs scipy, which only the ``test`` extra installs.
+    """
+    from scipy.integrate import quad
+
     if not 0.0 < t <= 0.5:
         raise ValueError("t must lie in (0, 1/2]")
     val, _ = quad(
@@ -90,20 +104,30 @@ def tau_integrand_quadrature(t: float) -> float:
 
 @lru_cache(maxsize=1)
 def tau_constant() -> tuple[float, float]:
-    """(tau, t_star): a valid upper bound for sup g and its maximizer.
+    """(tau, t_star): a proven upper bound tau for sup g, and its maximizer.
 
-    The supremum is located by bounded scalar minimization of -g and then
-    rounded up at the fourth decimal, so g(t) <= tau holds for every t.
+    Every term of g' decreases on (0, 1/2], so g is strictly concave there
+    and g' has a single root t*.  Bisection on the sign of g' shrinks the
+    bracket [lo, hi] = [1e-9, 1/2 - 1e-9] until its midpoint is one of its
+    ends, leaving hi - lo one ulp with g'(lo) > 0 >= g'(hi).  By concavity g
+    lies below its tangent at lo, and g falls beyond hi, so
+
+        sup g <= g(lo) + max(g'(lo), 0) (hi - lo),
+
+    which is nudged up with ``round_up`` and then rounded up at the fourth
+    decimal.  That last step leaves a margin of about 2e-5 over the bound,
+    ten orders of magnitude above the float error of g and g', so g(t) <= tau
+    for every t in (0, 1/2].  t_star is lo, within a few ulps of t*.
     """
-    res = minimize_scalar(
-        lambda t: -tau_integrand_scaled(t),
-        bounds=(1e-9, 0.5 - 1e-9),
-        method="bounded",
-        options={"xatol": 1e-13},
-    )
-    sup = -res.fun
-    tau = math.ceil(sup * 1e4) / 1e4
-    return tau, float(res.x)
+    lo, hi = 1e-9, 0.5 - 1e-9
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if tau_integrand_slope(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    bound = tau_integrand_scaled(lo) + max(tau_integrand_slope(lo), 0.0) * (hi - lo)
+    tau = math.ceil(round_up(bound) * 1e4) / 1e4
+    return tau, lo
 
 
 # ---------------------------------------------------------------------------

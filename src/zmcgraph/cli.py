@@ -11,7 +11,8 @@ Subcommands:
 * ``bounds``: convergence certificate, width profile and non-convexity witness.
 * ``verify``: the verification suites (recursion equivalence, coefficient
   growth estimates, surface corpus).
-* ``mesh``: triangulated export with causal vertex colors (PLY or OBJ).
+* ``mesh``: triangulated export with causal vertex colors (PLY or OBJ); a
+  vertex that is not finite exits 2.
 
 Exit codes: 0 success, 1 verification failure, 2 argument violation,
 3 certificate violation, 4 I/O failure.
@@ -402,10 +403,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_mesh(args) -> int:
-    _, xs, ys, sample, _ = _resolve_source(args, 33)
+    label, xs, ys, sample, _ = _resolve_source(args, 33)
 
     def evaluate(X, Y):  # the grid sample() already holds
         points, signs, _ = sample()
+        if not np.isfinite(points).all():  # e.g. a series jet far outside its rectangle
+            i, j = np.argwhere(~np.isfinite(points).all(axis=-1))[0]
+            u, v = xs[i].item(), ys[j].item()
+            raise ValueError(
+                f"{label} has no finite vertex at ({u!r}, {v!r}): "
+                f"(x, y, t) = {tuple(points[i, j].tolist())}"
+            )
         return points, _KINDS[signs]
 
     m = mesh_mod.build_grid_mesh(evaluate, xs, ys)

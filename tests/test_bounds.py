@@ -1,5 +1,7 @@
 """Convergence certificates: tau, growth constants, domain geometry, estimates."""
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +14,7 @@ from zmcgraph.bounds import (
     tau_constant,
     tau_integrand_quadrature,
     tau_integrand_scaled,
+    tau_integrand_slope,
     u_halfwidth,
     u_membership,
     verify_growth_estimates,
@@ -29,13 +32,44 @@ class TestTau:
 
     def test_supremum_location_and_value(self):
         tau, t_star = tau_constant()
-        assert tau == pytest.approx(2.6911, abs=1e-3)
+        assert tau == 2.6911
         assert t_star == pytest.approx(0.1379, abs=2e-3)
 
     def test_tau_is_a_valid_upper_bound(self):
         tau, _ = tau_constant()
-        for t in np.linspace(1e-4, 0.4999, 2000):
+        ends = np.geomspace(1e-300, 1e-4, 300)
+        grid = [np.linspace(1e-4, 0.4999, 2000), ends, 0.5 - ends, [0.5]]
+        for t in np.concatenate(grid):
             assert tau_integrand_scaled(float(t)) <= tau
+
+    def test_t_star_is_the_slope_root(self):
+        # the root of g' to 40 digits (mpmath.findroot) is 0.13791172388553894329...
+        _, t_star = tau_constant()
+        assert abs(t_star - 0.13791172388553894) <= 1e-12
+        assert tau_integrand_slope(t_star - 1e-9) > 0 > tau_integrand_slope(t_star + 1e-9)
+
+    def test_slope_is_the_decreasing_derivative(self):
+        # the bound in tau_constant rests on g' being g's slope and decreasing
+        ts = np.linspace(1e-3, 0.499, 500)
+        slopes = [tau_integrand_slope(float(t)) for t in ts]
+        assert all(np.diff(slopes) < 0)
+        h = 1e-6
+        for t in ts[::25]:
+            diff = (tau_integrand_scaled(t + h) - tau_integrand_scaled(t - h)) / (2 * h)
+            assert tau_integrand_slope(float(t)) == pytest.approx(diff, rel=1e-6, abs=1e-6)
+        with pytest.raises(ValueError):
+            tau_integrand_slope(0.0)
+
+    def test_runtime_import_loads_no_scipy(self):
+        # scipy is a test-only dependency: importing the package and the CLI
+        # and proving tau must not load it
+        code = (
+            "import sys, zmcgraph, zmcgraph.cli; zmcgraph.bounds.tau_constant(); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_closed_form_matches_quadrature(self):
         for t in (0.05, 0.1, 0.2, 0.3, 0.45):

@@ -656,6 +656,11 @@ class TestArgumentErrors:
             (["mesh", "--surface", "catalog:elliptic_catenoid",
               "--grid=-1:1:5,375:400:5", "--out", "{out}"],
              "catalog:elliptic_catenoid has no finite B at (-1.0, 375.0): B = nan"),
+            # x^16 overflows the float jet: inf - inf heights off the x = 0 row
+            (["mesh", "--coeffs", "{iii}", "--grid=-1e30:1e30:3,-1:1:3",
+              "--out", "{out}"],
+             "series case iii (c = 1) has no finite vertex at (-1e+30, -1.0): "
+             "(x, y, t) = (-1e+30, -1.0, nan)"),
         ],
     )
     def test_exits_2(self, argv, message, coeffs_iii, coeffs_big, tmp_path, capsys):

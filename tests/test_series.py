@@ -1,4 +1,5 @@
 """Series construction: recursion vs expansion, jets, homothety, alpha families."""
+import json
 import math
 import subprocess
 import sys
@@ -485,6 +486,17 @@ class TestInterchangeFormat:
     def test_round_trip_exact(self, recursion16):
         s = recursion16[Fraction(-1)]
         back = series_from_json(series_to_json(s))
+        assert back.betas == s.betas
+        assert back.seed == s.seed and back.order == s.order
+
+    @settings(max_examples=30, deadline=None)
+    @given(rational_c(negative=False), st.sampled_from(["i", "ii", "iii"]),
+           st.integers(4, 32))
+    def test_round_trip_property(self, c, case, order):
+        s = series_from_expansion(seed(case, -c if case == "ii" else c), order)
+        text = json.dumps(series_to_json(s))
+        back = series_from_json(json.loads(text))
+        assert json.dumps(series_to_json(back)) == text
         assert back.betas == s.betas
         assert back.seed == s.seed and back.order == s.order
 
