@@ -26,7 +26,8 @@ with an explicit witness pair.
 Every inequality that feeds a "pass" verdict is evaluated with directed
 rounding: measured quantities are nudged up and bounds nudged down by a few
 ulps, so double-precision roundoff can produce spurious failures but never
-spurious passes.
+spurious passes.  The growth sweep evaluates whole sample arrays at once,
+and the rounding stays directed element by element.
 """
 from __future__ import annotations
 
@@ -35,6 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .series import GraphSeries, SeriesCase
 
 # ---------------------------------------------------------------------------
@@ -42,20 +45,23 @@ from .series import GraphSeries, SeriesCase
 # ---------------------------------------------------------------------------
 
 
-def round_up(x: float, steps: int = 4) -> float:
-    if x == 0.0:
-        return x  # exact zeros carry no roundoff
+def round_up(x, steps: int = 4):
+    """x nudged ``steps`` ulps toward +inf, element by element on an array.
+
+    Exact zeros carry no roundoff and stay as they are.
+    """
+    y = x
     for _ in range(steps):
-        x = math.nextafter(x, math.inf)
-    return x
+        y = np.nextafter(y, np.inf)
+    return np.where(x == 0.0, x, y)
 
 
-def round_down(x: float, steps: int = 4) -> float:
-    if x == 0.0:
-        return x
+def round_down(x, steps: int = 4):
+    """x nudged ``steps`` ulps toward -inf, element by element; zeros stay."""
+    y = x
     for _ in range(steps):
-        x = math.nextafter(x, -math.inf)
-    return x
+        y = np.nextafter(y, -np.inf)
+    return np.where(x == 0.0, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +301,27 @@ class BoundCheck:
         }
 
 
+_GROWTH_CHECKS = ("d2-bound", "d1-bound", "value-bound", "chain-bound")
+
+
+def _horner_abs(rows: list[list[float]], ys: np.ndarray) -> np.ndarray:
+    """|p(y)| for each float coefficient list p in ``rows`` at each y in ys.
+
+    Horner's rule in float over all rows at once, shaped (len(rows), len(ys)).
+    A shorter row is padded with leading zeros, which leave its value 0.0
+    until its own top coefficient enters, so each entry equals the float
+    evaluation ``RationalPoly.__call__`` gives bit for bit.
+    """
+    top = max(map(len, rows), default=0)
+    table = np.zeros((len(rows), top))
+    for r, cs in enumerate(rows):
+        table[r, top - len(cs):] = cs[::-1]
+    v = np.zeros((len(rows), len(ys)))
+    for col in table.T:
+        v = v * ys + col[:, None]
+    return np.abs(v)
+
+
 def verify_growth_estimates(
     s: GraphSeries, delta: float = 1.0, samples: int = 101
 ) -> list[BoundCheck]:
@@ -308,7 +335,13 @@ def verify_growth_estimates(
         value-bound: |beta_l(y)|   <= 3|c| |y|^(l*+2)/(l*+2)^2 M^(l-3)
         chain-bound: 3|c| |y|^(l*+2)/(l*+2)^2 M^(l-3) <= theta0 C_delta^l
 
-    Returns one row per (l, inequality) with the worst margin over the grid.
+    Returns one row per (l, inequality) with the worst margin over the grid:
+    the first y where rhs - lhs is least.  Every (l, y) is evaluated at once
+    on numpy arrays, the powers of |y| with ``np.float_power`` (C ``pow``),
+    and the rounding stays directed element by element.  A side that is not
+    finite (a Horner or power overflow) makes its margin NaN, and a NaN
+    margin is the worst of its row and fails it.  Raises ValueError when a
+    coefficient, M^(l-3) or C_delta^l leaves float range.
     """
     if s.seed.case is SeriesCase.MIXED_I:
         raise ValueError("growth estimates cover quartic seeds only")
@@ -320,46 +353,46 @@ def verify_growth_estimates(
         raise ValueError("need at least 2 sample points")
     cert = certificate(s.seed.c, delta)
     ca = abs(float(s.seed.c))
-    M = cert.M
-    rows: list[BoundCheck] = []
-    ys = [-delta + 2.0 * delta * i / (samples - 1) for i in range(samples)]
-    for l in range(5, s.order + 1):
-        bl = s.betas[l]
-        bld = bl.derivative()
-        bldd = bld.derivative()
-        lstar = 0.5 * (l - 1) - 2.0
-        mpow = M ** (l - 3)
-        checks = {
-            "d2-bound": lambda y, _l=lstar, _m=mpow: (
-                abs(bldd(y)),
-                ca * abs(y) ** _l * _m,
-            ),
-            "d1-bound": lambda y, _l=lstar, _m=mpow: (
-                abs(bld(y)),
-                3.0 * ca * abs(y) ** (_l + 1.0) / (_l + 2.0) * _m,
-            ),
-            "value-bound": lambda y, _l=lstar, _m=mpow: (
-                abs(bl(y)),
-                3.0 * ca * abs(y) ** (_l + 2.0) / (_l + 2.0) ** 2 * _m,
-            ),
-            "chain-bound": lambda y, _l=lstar, _m=mpow: (
-                3.0 * ca * abs(y) ** (_l + 2.0) / (_l + 2.0) ** 2 * _m,
-                cert.theta0 * cert.C_delta**l,
-            ),
-        }
-        for name, fn in checks.items():
-            worst_margin = math.inf
-            worst = (0.0, 0.0, 0.0)
-            for y in ys:
-                lhs, rhs = fn(y)
-                lhs, rhs = round_up(lhs), round_down(rhs)
-                margin = rhs - lhs
-                if margin < worst_margin:
-                    worst_margin = margin
-                    worst = (y, lhs, rhs)
-            rows.append(
-                BoundCheck(
-                    l, name, delta, worst[0], worst[1], worst[2], worst_margin >= 0.0
-                )
-            )
-    return rows
+    ls = range(5, s.order + 1)
+    scales = []  # (M^(l-3), theta0 C_delta^l) per l
+    for l in ls:
+        try:
+            scales.append((cert.M ** (l - 3), cert.theta0 * cert.C_delta**l))
+        except OverflowError:
+            raise ValueError(
+                f"c = {s.seed.c} is outside the float range of the growth "
+                f"estimates at delta = {delta:g}: M^(l-3) or C_delta^l "
+                f"overflows at order l = {l}"
+            ) from None
+    mpow, chain = np.array(scales).reshape(-1, 2).T[:, :, None]
+    rows = {k: row for k, *row in s._float_tables()[0]}
+    coeffs = [rows.get(l, ([], [], [])) for l in ls]
+    ys = -delta + 2.0 * delta * np.arange(samples) / (samples - 1)
+    ay = np.abs(ys)
+    lstar = 0.5 * (np.array(ls)[:, None] - 1) - 2.0
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite sides fail
+        value = 3.0 * ca * np.float_power(ay, lstar + 2.0) / (lstar + 2.0) ** 2 * mpow
+        lhs = np.stack(
+            [_horner_abs([c[i] for c in coeffs], ys) for i in (2, 1, 0)] + [value]
+        )
+        rhs = np.stack([
+            ca * np.float_power(ay, lstar) * mpow,
+            3.0 * ca * np.float_power(ay, lstar + 1.0) / (lstar + 2.0) * mpow,
+            value,
+            np.broadcast_to(chain, value.shape),
+        ])
+        finite = np.isfinite(lhs) & np.isfinite(rhs)
+        lhs, rhs = round_up(lhs), round_down(rhs)
+        margin = np.where(finite, rhs - lhs, np.nan)
+    worst = np.argmin(margin, axis=-1)[..., None]  # the first NaN, else least
+
+    def at_worst(a):  # per l, the four inequalities' values at their worst y
+        a = np.broadcast_to(a, margin.shape)
+        return np.take_along_axis(a, worst, -1)[..., 0].T.tolist()
+
+    wy, wl, wr, ok = map(at_worst, (ys, lhs, rhs, margin >= 0.0))
+    return [
+        BoundCheck(l, name, delta, wy[j][i], wl[j][i], wr[j][i], ok[j][i])
+        for j, l in enumerate(ls)
+        for i, name in enumerate(_GROWTH_CHECKS)
+    ]

@@ -198,40 +198,62 @@ class GraphSeries:
     ``betas`` maps every k in 3..order to the exact coefficient polynomial
     beta_k.  Values are immutable by convention once constructed.  The jet
     table, one row (k, beta_k, beta_k', beta_k'') of coefficient lists per
-    nonzero beta_k, exact, as floats and as the magnitudes of those floats,
-    is built on first use and cached.
+    nonzero beta_k, is built on first use and cached: as floats and as the
+    magnitudes of those floats (``_float_tables``), and exact
+    (``_exact_table``) only once an exact jet needs it.
     """
 
     seed: SeedCondition
     order: int
     betas: dict[int, RationalPoly]
-    _tables: tuple[list, list, list] | None = field(
-        default=None, repr=False, compare=False
+    _floats: tuple[list, list] | None = field(
+        default=None, init=False, repr=False, compare=False
     )
+    _exact: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def beta(self, k: int) -> RationalPoly:
         return self.betas[k]
 
-    def _jet_tables(self) -> tuple[list, list, list]:
-        if self._tables is None:
-            exact = []
-            for k in sorted(self.betas):
-                b = self.betas[k]
-                if not b.is_zero:
-                    bd = b.derivative()
-                    exact.append((k, b.coeffs, bd.coeffs, bd.derivative().coeffs))
+    def _nonzero(self) -> list[tuple[int, RationalPoly]]:
+        return [(k, self.betas[k]) for k in sorted(self.betas) if self.betas[k]]
+
+    def _float_tables(self) -> tuple[list, list]:
+        """(floats, magnitudes): the jet table rounded to float, and abs of it.
+
+        Each entry is ``float()`` of the exact coefficient of beta_k, beta_k'
+        or beta_k'', taken straight from the integers: the derivative
+        coefficients of p/q y^i are i p/q and i (i-1) p/q, and int true
+        division is correctly rounded, so ``i * p / q`` is the float of the
+        exact rational bit for bit, with no Fraction derivative built.
+        """
+        if self._floats is None:
+            floats = []
             try:
-                floats = [
-                    (k, *([float(c) for c in cs] for cs in row)) for k, *row in exact
-                ]
+                for k, b in self._nonzero():
+                    pq = [(c.numerator, c.denominator) for c in b.coeffs]
+                    floats.append((
+                        k,
+                        [p / q for p, q in pq],
+                        [i * p / q for i, (p, q) in enumerate(pq)][1:],
+                        [i * (i - 1) * p / q for i, (p, q) in enumerate(pq)][2:],
+                    ))
             except OverflowError:
                 raise ValueError(
                     f"c = {self.seed.c} is too large for float evaluation: the "
                     f"order-{self.order} coefficients overflow float range"
                 ) from None
             mags = [(k, *([abs(c) for c in cs] for cs in row)) for k, *row in floats]
-            self._tables = exact, floats, mags
-        return self._tables
+            self._floats = floats, mags
+        return self._floats
+
+    def _exact_table(self) -> list:
+        """The jet table in exact rationals, for ``graph_jet_exact``."""
+        if self._exact is None:
+            self._exact = []
+            for k, b in self._nonzero():
+                bd = b.derivative()
+                self._exact.append((k, b.coeffs, bd.coeffs, bd.derivative().coeffs))
+        return self._exact
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +526,7 @@ def psi_jet(s: GraphSeries, x, y) -> GraphJet:
     alike (numpy's ``**`` on arrays uses a vectorised pow that can differ in
     the last bit), so an array call equals per-point calls bit for bit.
     """
-    value, px, q, pxx, pxy, pyy = _jet(s._jet_tables()[1], x, y, np.float_power)
+    value, px, q, pxx, pxy, pyy = _jet(s._float_tables()[0], x, y, np.float_power)
     return GraphJet(value, px, 1 + q, pxx, pxy, pyy)
 
 
@@ -523,7 +545,7 @@ def graph_jet_exact(
 ) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction, Fraction]:
     """Exact rational jet (value, px, py, pxx, pxy, pyy) of the truncation."""
     value, px, q, pxx, pxy, pyy = _jet(
-        s._jet_tables()[0], Fraction(x), Fraction(y), operator.pow
+        s._exact_table(), Fraction(x), Fraction(y), operator.pow
     )
     return value, px, 1 + q, pxx, pxy, pyy
 
@@ -569,7 +591,7 @@ def _filtered_b(s: GraphSeries, x, y) -> tuple:
     B gains at most 2.1 a (|px| + |q| + 1 + 2 a) + 2 eta, M's run loses no
     more, and 16 eta w (|px| + |q| + 1 + 2 a) covers both and its rounding.
     """
-    _, floats, mags = s._jet_tables()
+    floats, mags = s._float_tables()
     kmax = max(k for k, *_ in floats)
     dmax = max(len(cb) - 1 for _, cb, _, _ in floats)
     g = _filter_factor(2 * (2 * dmax + len(floats) + 6) + 3)

@@ -1,4 +1,5 @@
 """Convergence certificates: tau, growth constants, domain geometry, estimates."""
+import json
 import math
 import subprocess
 import sys
@@ -6,8 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zmcgraph.bounds import (
+    BoundCheck,
     certificate,
     convexity_witness,
     growth_constant,
@@ -19,6 +22,9 @@ from zmcgraph.bounds import (
     u_membership,
     verify_growth_estimates,
 )
+
+from zmcgraph.cli import _suite_growth
+from zmcgraph.series import series_from_expansion, series_from_recursion
 
 from conftest import seed
 
@@ -219,3 +225,147 @@ class TestGrowthEstimates:
     def test_row_json_shape(self, series_ii_cm1_n12):
         row = verify_growth_estimates(series_ii_cm1_n12, samples=11)[0].to_json()
         assert set(row) == {"l", "inequality", "delta", "worst_y", "lhs", "rhs", "pass"}
+
+
+# ---------------------------------------------------------------------------
+# the array growth sweep against the scalar loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def scalar_round_up(x: float, steps: int = 4) -> float:
+    if x == 0.0:
+        return x
+    for _ in range(steps):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+def scalar_round_down(x: float, steps: int = 4) -> float:
+    if x == 0.0:
+        return x
+    for _ in range(steps):
+        x = math.nextafter(x, -math.inf)
+    return x
+
+
+def loop_growth_estimates(s, delta=1.0, samples=101):
+    """Reference: the growth sweep one (l, inequality, y) at a time, with
+    Fraction derivatives, float Horner per point and scalar rounding."""
+    cert = certificate(s.seed.c, delta)
+    ca = abs(float(s.seed.c))
+    M = cert.M
+    rows = []
+    ys = [-delta + 2.0 * delta * i / (samples - 1) for i in range(samples)]
+    for l in range(5, s.order + 1):
+        bl = s.betas[l]
+        bld = bl.derivative()
+        bldd = bld.derivative()
+        lstar = 0.5 * (l - 1) - 2.0
+        mpow = M ** (l - 3)
+        checks = {
+            "d2-bound": lambda y, _l=lstar, _m=mpow: (
+                abs(bldd(y)),
+                ca * abs(y) ** _l * _m,
+            ),
+            "d1-bound": lambda y, _l=lstar, _m=mpow: (
+                abs(bld(y)),
+                3.0 * ca * abs(y) ** (_l + 1.0) / (_l + 2.0) * _m,
+            ),
+            "value-bound": lambda y, _l=lstar, _m=mpow: (
+                abs(bl(y)),
+                3.0 * ca * abs(y) ** (_l + 2.0) / (_l + 2.0) ** 2 * _m,
+            ),
+            "chain-bound": lambda y, _l=lstar, _m=mpow: (
+                3.0 * ca * abs(y) ** (_l + 2.0) / (_l + 2.0) ** 2 * _m,
+                cert.theta0 * cert.C_delta**l,
+            ),
+        }
+        for name, fn in checks.items():
+            worst_margin = math.inf
+            worst = (0.0, 0.0, 0.0)
+            for y in ys:
+                lhs, rhs = fn(y)
+                lhs, rhs = scalar_round_up(lhs), scalar_round_down(rhs)
+                margin = rhs - lhs
+                if margin < worst_margin:
+                    worst_margin = margin
+                    worst = (y, lhs, rhs)
+            rows.append(
+                BoundCheck(
+                    l, name, delta, worst[0], worst[1], worst[2], worst_margin >= 0.0
+                )
+            )
+    return rows
+
+
+def sweep_json(rows) -> str:
+    # JSON text, so that a sign of zero or a last bit shows
+    return json.dumps([r.to_json() for r in rows])
+
+
+@st.composite
+def rational_c32(draw):
+    """c = p/q with p and q of up to 32 bits each, either sign."""
+    p = draw(st.integers(1, 2**32))
+    q = draw(st.integers(1, 2**32))
+    return Fraction(p, q) * draw(st.sampled_from([1, -1]))
+
+
+def quartic(c, order):
+    return series_from_expansion(seed("iii" if c > 0 else "ii", c), order)
+
+
+class TestGrowthSweepReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rational_c32(),
+        st.integers(5, 48),
+        st.sampled_from([1.0, 1.5, 2.0, 4.0]),
+        st.sampled_from([2, 11, 101]),
+    )
+    def test_equals_scalar_loop(self, c, order, delta, samples):
+        s = quartic(c, order)
+        try:
+            want = sweep_json(loop_growth_estimates(s, delta, samples))
+        except OverflowError:  # M^(l-3), C_delta^l or a coefficient
+            with pytest.raises(ValueError, match=f"c = {c} "):
+                verify_growth_estimates(s, delta, samples)
+            return
+        assert sweep_json(verify_growth_estimates(s, delta, samples)) == want
+
+    def test_tiny_c_underflow_fails_identically(self):
+        s = quartic(Fraction(1, 10**60), 48)
+        want = loop_growth_estimates(s, 1.0, 11)
+        got = verify_growth_estimates(s, 1.0, 11)
+        assert sweep_json(got) == sweep_json(want)
+        assert len(got) == 176
+        assert sum(not r.passed for r in got) == 19
+
+    def test_suite_rows_equal_the_recursion_series(self):
+        want = []
+        for c in (Fraction(1), Fraction(-1)):
+            s = series_from_recursion(seed("iii" if c > 0 else "ii", c), 16)
+            for delta in (1.0, 2.0):
+                for check in loop_growth_estimates(s, delta, 101):
+                    row = check.to_json()
+                    row["suite"] = "growth"
+                    row["name"] = f"c={c} delta={delta:g} l={check.l} {check.inequality}"
+                    want.append(row)
+        assert json.dumps(_suite_growth()) == json.dumps(want)
+
+    @pytest.mark.parametrize("order", [40, 48])
+    def test_overflow_names_c_and_order(self, order):
+        # M^(l-3) and C_delta^l leave float range from l = 35 on
+        s = quartic(Fraction(10**6), order)
+        with pytest.raises(ValueError, match=r"c = 1000000 .* order l = 35$"):
+            verify_growth_estimates(s, 1.0, 11)
+
+    def test_non_finite_side_fails_its_row(self):
+        # at delta = 1e57, |y|^(l*) overflows to inf for l >= 15 while
+        # M^(l-3) stays finite: the bound side is inf, and rounded down it
+        # is the largest float, which a zero measured side would pass under
+        s = quartic(Fraction(1, 10**101), 16)
+        l16 = [r for r in verify_growth_estimates(s, 1e57, 11) if r.l == 16]
+        for r in l16[:3]:  # d2, d1 and value: 0 <= inf, rounded down
+            assert r.lhs == 0.0 and r.rhs > 1e308 and not r.passed
+        assert not l16[3].passed  # chain: its measured side is inf

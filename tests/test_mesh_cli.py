@@ -1,5 +1,7 @@
 """Mesh export formats and the command-line interface contract."""
 import argparse
+import contextlib
+import io
 import json
 import struct
 from fractions import Fraction
@@ -10,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from zmcgraph import catalog
 from zmcgraph.bounds import u_halfwidth
-from zmcgraph.cli import MAX_GRID_POINTS, _grid, main
+from zmcgraph.cli import MAX_GRID_POINTS, _grid, build_parser, main
 from zmcgraph.lorentz import Causal
 from zmcgraph.mesh import (
     ASCII_CHUNK,
@@ -237,6 +239,51 @@ class TestVerifyCommand:
             lambda: [{"suite": "corpus", "name": "forced", "pass": False}],
         )
         assert run("verify", "--suite", "corpus") == 1
+
+
+# an argparse error first, then every command, then the first good call again
+PARSER_SEQUENCE = [
+    ["construct", "--case", "iv", "--c", "1"],
+    ["construct", "--case", "iii", "--c", "3/2", "--order", "12", "--out", "{d}/s.json"],
+    ["classify", "--coeffs", "{d}/s.json", "--out", "{d}/classify.json"],
+    ["mesh", "--coeffs", "{d}/s.json", "--format", "obj", "--out", "{d}/mesh.obj"],
+    ["mesh", "--surface", "catalog:light_cone", "--ply-binary", "--out", "{d}/cone.ply"],
+    ["bounds", "--c", "-2", "--out", "{d}/bounds.json"],
+    ["verify", "--suite", "growth", "--out", "{d}/verify.json"],
+    ["construct", "--case", "iii", "--c", "3/2", "--order", "12", "--out", "{d}/s2.json"],
+]
+
+
+def run_sequence(d, fresh: bool) -> list:
+    """(exit code, stdout, output bytes) of each PARSER_SEQUENCE call in this
+    process, with a new parser for every call when ``fresh``."""
+    d.mkdir()
+    results = []
+    for argv in PARSER_SEQUENCE:
+        if fresh:
+            build_parser.cache_clear()
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                rc = main([a.format(d=d) for a in argv])
+            except SystemExit as e:
+                rc = e.code
+        out = argv[-1].format(d=d)
+        data = open(out, "rb").read() if "--out" in argv else None
+        results.append((rc, stdout.getvalue(), data))
+    return results
+
+
+class TestParserReuse:
+    def test_reused_parser_equals_a_fresh_one(self, tmp_path):
+        build_parser.cache_clear()
+        reused = run_sequence(tmp_path / "reused", fresh=False)
+        info = build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(PARSER_SEQUENCE) - 1)
+        fresh = run_sequence(tmp_path / "fresh", fresh=True)
+        assert [r[0] for r in reused] == [2] + [0] * (len(PARSER_SEQUENCE) - 1)
+        assert reused == fresh
+        assert reused[1] == reused[-1]
 
 
 class TestMeshCommand:

@@ -16,6 +16,7 @@ from zmcgraph.poly import RationalPoly, ZERO_POLY
 from zmcgraph.series import (
     ALPHA_ZERO,
     MAX_ORDER,
+    GraphSeries,
     SeedCondition,
     SeriesCase,
     _unit_betas,
@@ -615,6 +616,49 @@ class TestSharedJetBody:
         assert np.array_equal(Y, before)
 
 
+@st.composite
+def wide_c(draw):
+    """c = p/q from tiny to huge, with numerators of up to 1400 bits."""
+    p = draw(st.integers(1, 2 ** draw(st.sampled_from([8, 64, 400, 1400]))))
+    q = draw(st.integers(1, 2 ** draw(st.sampled_from([8, 64, 400]))))
+    return Fraction(p, q)
+
+
+class TestFloatTables:
+    @settings(max_examples=40, deadline=None)
+    @given(wide_c(), st.sampled_from(["i", "ii", "iii"]), st.integers(4, 24))
+    def test_rows_are_float_of_the_exact_rows(self, c, case, order):
+        s = series_from_expansion(seed(case, -c if case == "ii" else c), order)
+        try:
+            want = [
+                (k, *([float(v) for v in row] for row in rows))
+                for k, *rows in s._exact_table()
+            ]
+        except OverflowError:
+            with pytest.raises(ValueError, match="too large for float evaluation"):
+                s._float_tables()
+            return
+        floats, mags = s._float_tables()
+        bits = lambda table: [
+            (k, *(np.array(row, dtype=float).tobytes() for row in rows))
+            for k, *rows in table
+        ]
+        assert bits(floats) == bits(want)
+        assert bits(mags) == bits(
+            [(k, *([abs(v) for v in row] for row in rows)) for k, *rows in want]
+        )
+
+    def test_overflow_message(self):
+        s = series_from_expansion(seed("iii", 10**100), 16)
+        with pytest.raises(ValueError) as err:
+            s._float_tables()
+        assert str(err.value) == (
+            f"c = {10**100} is too large for float evaluation: the "
+            "order-16 coefficients overflow float range"
+        )
+        assert s._exact is None
+
+
 # ---------------------------------------------------------------------------
 # the filtered causal signs against the exact sign of B at every point
 # ---------------------------------------------------------------------------
@@ -687,10 +731,19 @@ class TestCausalSigns:
         # x^4 underflows to 0 in the first two rows, so B_float = 0 decides
         # nothing; in the last B ~ 2e-160 is a normal float and x^8 is not,
         # which the absolute underflow term covers, so the float decides
+        s = GraphSeries(series_iii_c1_n8.seed, 8, series_iii_c1_n8.betas)
         xs, ys = [1e-300, -1e-250, 1e-40], [-0.5, 0.5]
-        signs, fallbacks = causal_signs(series_iii_c1_n8, xs, ys)
+        signs, fallbacks = causal_signs(s, xs, ys)
         assert fallbacks == 4
         assert (signs == -1).all()
+        assert s._exact is not None  # the fallbacks built the exact table
+
+    def test_no_fallbacks_build_no_exact_table(self):
+        s = series_from_expansion(seed("iii", Fraction(3, 2)), 24)
+        half = 0.999 * u_halfwidth(s.seed.c, 0.0)
+        xs, ys = np.linspace(-half, half, 21), np.linspace(-0.999, 0.999, 21)
+        assert causal_signs(s, xs, ys)[1] == 0
+        assert s._exact is None
 
     @pytest.mark.parametrize(
         "case,c,order,xs,ys,line",
