@@ -1,8 +1,9 @@
 """Closed-form reference surfaces used as the geometry test corpus.
 
 Each entry packages an evaluator producing second-order jets (analytic where
-the parametrization is explicit, Newton-plus-finite-differences for the
-implicit entry), the expected causal character, any known straight null lines
+the parametrization is explicit; for the implicit entry, one Newton solve for
+the height and the implicit function theorem for its derivatives), the
+expected causal character, any known straight null lines
 on the surface, and a sampling domain with documented exclusions around
 singular sets.  The corpus contract is that every entry's zero-mean-curvature
 residual vanishes numerically on its sampling domain.
@@ -29,7 +30,6 @@ from .lorentz import (
     Vec3M,
     classify,
     degenerate_test,
-    fd_graph_jet,
     first_form,
     graph_to_parametric,
     jet_scale,
@@ -290,7 +290,31 @@ def cone_type_height(x: float, y: float) -> float:
 
 
 def _cone_type_graph_jet(x: float, y: float) -> GraphJet:
-    return fd_graph_jet(cone_type_height, x, y)
+    """Closed-form jet of the Newton height, by the implicit function theorem.
+
+    With s = y - t, the partials of F = 2s cos t - (x^2 + s^2) sin t at the
+    solved t give px = -F_x/F_t, py = -F_y/F_t and, for instance,
+    pxx = -(F_xx + 2 F_xt px + F_tt px^2)/F_t.  On the null line x = 0 the
+    height is y exactly, so px = 0, py = 1 and B = 0 exactly.
+    """
+    t = cone_type_height(x, y)
+    s = y - t
+    ct, st = _each(math.cos, t), _each(math.sin, t)
+    q = 2.0 + x * x + s * s
+    F_t = -q * ct
+    F_xx = -2.0 * st  # = F_yy; F_xy = 0
+    F_xt, F_yt = -2.0 * x * ct, -2.0 * s * ct
+    F_tt = 2.0 * s * ct + q * st
+    px = _div(2.0 * x * st, F_t)  # -F_x / F_t; a zero F_t raises here
+    py = -(2.0 * ct - 2.0 * s * st) / F_t
+    return GraphJet(
+        value=t,
+        px=px,
+        py=py,
+        pxx=-(F_xx + 2.0 * F_xt * px + F_tt * px * px) / F_t,
+        pxy=-(F_xt * py + F_yt * px + F_tt * px * py) / F_t,
+        pyy=-(F_xx + 2.0 * F_yt * py + F_tt * py * py) / F_t,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,20 @@ Subcommands:
 * ``classify``: causal classification of a series or catalog surface on a grid.
   For a coefficient series the sign of B is exact: float arithmetic under a
   proven error bound decides most points, exact rational arithmetic the
-  rest.  A catalog surface reads |B| <= --tol as null.
+  rest.  A catalog surface reads |B| <= --tol as null.  ``--certified``
+  covers the quartic seeds only; on a case i series it exits 2.
 * ``bounds``: convergence certificate, width profile and non-convexity witness.
 * ``verify``: the verification suites (recursion equivalence, coefficient
   growth estimates, surface corpus).
-* ``mesh``: triangulated export with causal vertex colors (PLY or OBJ); a
-  vertex that is not finite exits 2.
+* ``mesh``: triangulated export with causal vertex colors (PLY or OBJ),
+  looked up from the same int8 signs as ``classify``; a vertex that is not
+  finite exits 2.  ASCII is written per chunk of rows, each distinct value
+  formatted once.  A catalog surface is sampled with one jet call on the
+  grid's axes (for ``mixed_cone_type``, one Newton solve and a closed-form
+  jet).
 
-Exit codes: 0 success, 1 verification failure, 2 argument violation,
-3 certificate violation, 4 I/O failure.
+Exit codes: 0 success, 1 verification failure, 2 argument violation (a
+malformed coefficient file included), 3 certificate violation, 4 I/O failure.
 """
 from __future__ import annotations
 
@@ -29,7 +34,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import catalog, mesh as mesh_mod
-from .lorentz import Causal, classify, first_form
+from .lorentz import classify, first_form
 from .poly import RationalPoly
 from .series import (
     GraphSeries,
@@ -56,8 +61,8 @@ MAX_GRID_POINTS = 1_000_000
 # what a catalog jet raises at a point where it has none
 _NO_JET = (ArithmeticError, ValueError, catalog.ImplicitSolveError)
 
-# causal kind of each sign of B, indexed by the sign: 0, 1, -1
-_KINDS = np.array([Causal.NULL, Causal.SPACELIKE, Causal.TIMELIKE], dtype=object)
+# the report's letter of each sign of B, indexed by the sign: 0, 1, -1
+_SIGN_LETTERS = np.frombuffer(b"nst", dtype="S1")
 
 # ---------------------------------------------------------------------------
 # small helpers
@@ -164,26 +169,28 @@ def _summary_verdict(counts: dict[str, int], min_points: int = 5) -> str:
 
 def _catalog_grid(e: catalog.SurfaceEntry, xs, ys) -> tuple[np.ndarray, np.ndarray]:
     """Points (x, y, t), shaped (NX, NY, 3), and B of entry e on xs x ys, from
-    one ``e.jet`` call; a ValueError names the first point in grid order that
-    has no jet or a non-finite B."""
+    one ``e.jet`` call on the broadcast axes; a ValueError names the first
+    point in grid order that has no jet or a non-finite B."""
     label = f"catalog:{e.name}"
-    U, V = np.meshgrid(xs, ys, indexing="ij")
+    shape = (len(xs), len(ys))
     with np.errstate(all="ignore"):  # overflow to inf is caught below
         try:
-            j = e.jet(U, V)
+            j = e.jet(xs[:, None], ys[None, :])
         except _NO_JET:  # so some point has no jet: name the first
-            for u, v in zip(U.ravel().tolist(), V.ravel().tolist()):
-                try:
-                    e.jet(u, v)
-                except _NO_JET as err:
-                    raise ValueError(f"{label} has no jet at ({u!r}, {v!r}): {err}")
+            for u in xs.tolist():
+                for v in ys.tolist():
+                    try:
+                        e.jet(u, v)
+                    except _NO_JET as err:
+                        raise ValueError(f"{label} has no jet at ({u!r}, {v!r}): {err}")
             raise
-        B = np.broadcast_to(first_form(j)[1], U.shape)
+        B = np.broadcast_to(first_form(j)[1], shape)
     bad = np.flatnonzero(~np.isfinite(B))
     if len(bad):
-        u, v, b = (a.flat[bad[0]].item() for a in (U, V, B))
+        i, k = divmod(bad[0].item(), shape[1])
+        u, v, b = xs[i].item(), ys[k].item(), B[i, k].item()
         raise ValueError(f"{label} has no finite B at ({u!r}, {v!r}): B = {b}")
-    return np.stack([np.broadcast_to(c, U.shape) for c in j.f], axis=-1), B
+    return np.stack([np.broadcast_to(c, shape) for c in j.f], axis=-1), B
 
 
 def _resolve_source(args, n: int):
@@ -231,6 +238,13 @@ def cmd_classify(args) -> int:
         flag = "--certified" if args.certified else "--exact"
         print(f"error: {flag} applies to coefficient series", file=sys.stderr)
         return EXIT_ARGS
+    if args.certified and s.seed.case is SeriesCase.MIXED_I:
+        print(
+            "error: --certified: the certificate covers quartic seeds (cases ii "
+            f"and iii) only, and {label} has the cubic seed",
+            file=sys.stderr,
+        )
+        return EXIT_ARGS
     if args.certified:
         xmax, ymax = float(np.max(np.abs(xs))), float(np.max(np.abs(ys)))
         if not bounds_mod.u_membership(s.seed.c, xmax, ymax):
@@ -242,15 +256,19 @@ def cmd_classify(args) -> int:
             return EXIT_CERT
 
     _, signs, fallbacks = sample()
-    grid = _KINDS[signs].tolist()
-    counts = {k.value: sum(row.count(k) for row in grid) for k in Causal}
+    # points of each kind per x row, in the order of the report's keys
+    pos, neg = (signs > 0).sum(axis=1), (signs < 0).sum(axis=1)
+    per_row = np.stack([pos, neg, len(ys) - pos - neg], axis=1)
+    keys = ("spacelike", "timelike", "null")
+    counts = dict(zip(keys, per_row.sum(axis=0).tolist()))
     verdict = _summary_verdict(counts)
     total = sum(counts.values())
     print(f"{label}: {total} points")
-    for key in ("spacelike", "timelike", "null"):
+    for key in keys:
         bar = "#" * int(round(40 * counts[key] / total)) if total else ""
         print(f"  {key:10s} {counts[key]:6d} {bar}")
     print(f"  verdict: {verdict}")
+    letters = _SIGN_LETTERS[signs]
     report = {
         "surface": label,
         "exact": s is not None,
@@ -263,12 +281,10 @@ def cmd_classify(args) -> int:
         "verdict": verdict,
         # one string per x row, one character per y sample
         "legend": {"s": "spacelike", "t": "timelike", "n": "null"},
-        "verdict_rows": [
-            "".join(k.value[0] for k in row) for row in grid
-        ],
+        "verdict_rows": letters.view(f"S{len(ys)}").ravel().astype(str).tolist(),
         "columns": [
-            {"x": float(x), **{k.value: row.count(k) for k in Causal}}
-            for x, row in zip(xs, grid)
+            {"x": x, **dict(zip(keys, row))}
+            for x, row in zip(xs.tolist(), per_row.tolist())
         ],
     }
     if s is not None:  # grid points whose sign the float filter left to af_bf_exact
@@ -416,7 +432,7 @@ def cmd_mesh(args) -> int:
                 f"{label} has no finite vertex at ({u!r}, {v!r}): "
                 f"(x, y, t) = {tuple(points[i, j].tolist())}"
             )
-        return points, _KINDS[signs]
+        return points, signs
 
     m = mesh_mod.build_grid_mesh(evaluate, xs, ys)
     try:

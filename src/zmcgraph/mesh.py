@@ -1,8 +1,10 @@
 """Triangulated grid meshes with causal vertex colors, PLY and OBJ export.
 
 Vertices carry (x, y, t, r, g, b); the color encodes the causal verdict at
-the vertex: space-like blue, time-like red, null white.  A regular NX x NY
-grid triangulates into 2 (NX-1)(NY-1) faces.
+the vertex: space-like blue, time-like red, null white, looked up from the
+sign of B.  A regular NX x NY grid triangulates into 2 (NX-1)(NY-1) faces.
+ASCII PLY and OBJ are written a chunk of rows per string operation, and
+each chunk formats each distinct coordinate once.
 """
 from __future__ import annotations
 
@@ -18,13 +20,17 @@ CAUSAL_COLORS = {
     Causal.TIMELIKE: (255, 0, 0),
     Causal.NULL: (255, 255, 255),
 }
-# the same table as two aligned arrays, for lookups on whole kind arrays
-_KIND_KEYS = np.array(list(CAUSAL_COLORS), dtype=object)
-_KIND_RGB = np.array(list(CAUSAL_COLORS.values()), dtype=float)
+# the same colours indexed by the sign of B: 0, 1, -1
+_SIGN_RGB = np.array(
+    [CAUSAL_COLORS[k] for k in (Causal.NULL, Causal.SPACELIKE, Causal.TIMELIKE)],
+    dtype=float,
+)
 
-# rows per % operation of the ASCII writers; larger chunks are no faster and
-# hold more Python floats at once (about 1.2 MB at 4096 rows of a vertex)
-ASCII_CHUNK = 256
+# rows per % operation of the ASCII writers.  A chunk of vertices formats
+# each distinct value once, and a grid repeats its x and y values from row to
+# row, so a chunk this size formats about 40% of its values; larger chunks
+# save little more and hold more strings at once
+ASCII_CHUNK = 1024
 
 
 @dataclass
@@ -51,16 +57,17 @@ def build_grid_mesh(
     """Mesh a grid function over us x vs with one ``evaluate`` call.
 
     ``evaluate(U, V)`` takes ``np.meshgrid(us, vs, indexing="ij")`` and returns
-    the points (x, y, t), shaped U.shape + (3,), and the rows of causal kinds.
-    Vertex i * len(vs) + j is the sample at (us[i], vs[j]).
+    the points (x, y, t), shaped U.shape + (3,), and the sign of B at each as
+    integers: 1 space-like, -1 time-like, 0 null.  Vertex i * len(vs) + j is
+    the sample at (us[i], vs[j]).
     """
     us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
     nv = len(vs)
-    points, kinds = evaluate(*np.meshgrid(us, vs, indexing="ij"))
-    match = np.reshape(kinds, (-1, 1)) == _KIND_KEYS
-    if not match.any(axis=1).all():
-        raise ValueError("causal kinds must be lorentz.Causal members")
-    colors = _KIND_RGB[match.argmax(axis=1)]
+    points, signs = evaluate(*np.meshgrid(us, vs, indexing="ij"))
+    signs = np.ravel(signs)
+    if signs.dtype.kind not in "iu" or ((signs < -1) | (signs > 1)).any():
+        raise ValueError("causal signs must be integers in -1..1")
+    colors = _SIGN_RGB[signs]
     verts = np.column_stack([np.reshape(points, (-1, 3)), colors])
     # each grid cell (a = i nv + j) splits into (a, b, a+1) and (a+1, b, b+1)
     a = (np.arange(len(us) - 1)[:, None] * nv + np.arange(nv - 1)).ravel()
@@ -119,15 +126,45 @@ def _ply_binary_body(mesh: Mesh) -> bytes:
 
 
 def _write_rows(fh, fmt: str, rows: np.ndarray) -> None:
-    """Writes ``fmt % row`` for each row of a 2-D array, one % per chunk.
+    """Writes ``fmt % row`` for each row of an integer array, one % per chunk.
 
-    ``%.17g`` and ``%d`` format Python floats and ints as ``format`` does
-    (``%d`` truncates a float as ``int()`` does), so the text is that of a
+    ``%d`` formats Python ints as ``format`` does, so the text is that of a
     per-row f-string.
     """
     for i in range(0, len(rows), ASCII_CHUNK):
         chunk = rows[i : i + ASCII_CHUNK]
         fh.write(fmt * len(chunk) % tuple(chunk.ravel().tolist()))
+
+
+def _distinct_text(block: np.ndarray, fmt: str) -> tuple[list[str], np.ndarray]:
+    """``fmt % v`` for each distinct value v of a float block, and the index of
+    each element's text, shaped like the block.
+
+    Values are told apart by their bits, so -0.0 and 0.0 get their own texts.
+    """
+    bits, index = np.unique(block.view(np.int64), return_inverse=True)
+    text = "\n".join([fmt] * len(bits)) % tuple(bits.view(float).tolist())
+    return text.split("\n"), index.reshape(block.shape)
+
+
+def _write_vertices(fh, head: str, vertices: np.ndarray, colors: bool) -> None:
+    """Writes ``head``, x y t with ``%.17g`` and, if ``colors``, r g b with
+    ``%d`` for each vertex: the text of a per-row f-string (``%d`` truncates
+    a float as ``int()`` does).
+
+    One % per chunk fills the lines with ``%s`` from the chunk's texts of
+    its distinct values.
+    """
+    line = head + ("%s %s %s %s %s %s\n" if colors else "%s %s %s\n")
+    for i in range(0, len(vertices), ASCII_CHUNK):
+        chunk = vertices[i : i + ASCII_CHUNK]
+        text, index = _distinct_text(chunk[:, :3], "%.17g")
+        if colors:
+            rgb_text, rgb_index = _distinct_text(chunk[:, 3:], "%d")
+            index = np.hstack([index, rgb_index + len(text)])
+            text += rgb_text
+        texts = np.array(text, dtype=object)[index]
+        fh.write(line * len(chunk) % tuple(texts.ravel().tolist()))
 
 
 def write_ply(mesh: Mesh, path: str, binary: bool = False) -> None:
@@ -140,7 +177,7 @@ def write_ply(mesh: Mesh, path: str, binary: bool = False) -> None:
         return
     with open(path, "w") as fh:
         fh.write(header)
-        _write_rows(fh, "%.17g %.17g %.17g %d %d %d\n", mesh.vertices)
+        _write_vertices(fh, "", mesh.vertices, colors=True)
         _write_rows(fh, "3 %d %d %d\n", mesh.faces)
 
 
@@ -186,5 +223,5 @@ def read_ply(path: str) -> Mesh:
 def write_obj(mesh: Mesh, path: str) -> None:
     """OBJ export; positions only, indices are 1-based."""
     with open(path, "w") as fh:
-        _write_rows(fh, "v %.17g %.17g %.17g\n", mesh.vertices[:, :3])
+        _write_vertices(fh, "v ", mesh.vertices, colors=False)
         _write_rows(fh, "f %d %d %d\n", mesh.faces + 1)

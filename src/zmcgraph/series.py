@@ -759,18 +759,49 @@ def series_to_json(s: GraphSeries) -> dict:
 
 
 def series_from_json(data: Mapping) -> GraphSeries:
+    """The series of a ``series_to_json`` dict; ValueError if it is malformed.
+
+    The schema is checked: the four keys, a case tag, rational strings for c
+    and every coefficient, an integer order in 4..MAX_ORDER and an object of
+    coefficient arrays indexed 3..order.  Whether the coefficients are those
+    of the seed's series is not checked.
+    """
+    if not isinstance(data, Mapping):
+        raise ValueError("coefficient file must hold a JSON object")
+    missing = [k for k in ("case", "c", "order", "betas") if k not in data]
+    if missing:
+        raise ValueError(f"coefficient file has no {', '.join(map(repr, missing))}")
     case = SeriesCase(data["case"])
-    seed = SeedCondition(case, Fraction(data["c"]))
-    order = int(data["order"])
+    (c,) = _json_rationals([data["c"]], "c")
+    seed = SeedCondition(case, c)
+    order = data["order"]
+    if type(order) is not int:
+        raise ValueError(f"order must be an integer (got {order!r})")
+    if order < 4:
+        raise ValueError("order must be at least 4")
     if order > MAX_ORDER:
         raise ValueError(f"order {order} exceeds the cost cap {MAX_ORDER}")
+    if not isinstance(data["betas"], Mapping):
+        raise ValueError("betas must be an object of coefficient arrays")
     betas = {k: ZERO_POLY for k in range(3, order + 1)}
     for key, arr in data["betas"].items():
         k = int(key)
         if not 3 <= k <= order:
             raise ValueError(f"coefficient index {k} outside 3..{order}")
-        betas[k] = RationalPoly.from_json(arr)
+        if not isinstance(arr, list):
+            raise ValueError(f"beta_{k} must be an array of rational strings")
+        betas[k] = RationalPoly(_json_rationals(arr, f"beta_{k}"))
     return GraphSeries(seed, order, betas)
+
+
+def _json_rationals(items: list, name: str) -> list[Fraction]:
+    """The rationals of JSON strings such as "-3/4"; ValueError otherwise."""
+    if not set(map(type, items)) <= {str}:
+        raise ValueError(f"{name} must hold rational strings (got {items!r})")
+    try:
+        return [Fraction(a) for a in items]
+    except (ValueError, ZeroDivisionError) as e:
+        raise ValueError(f"{name} holds a string that is not a rational ({e})") from None
 
 
 # ---------------------------------------------------------------------------

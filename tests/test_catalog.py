@@ -1,9 +1,11 @@
 """Reference surface corpus: entries, implicit solving, corpus contract."""
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zmcgraph.catalog import (
     SURFACE_NAMES,
@@ -16,14 +18,15 @@ from zmcgraph.catalog import (
     hyperbolic_catenoid_height,
     implicit_solve,
 )
-from zmcgraph.cli import _NO_JET, _catalog_grid, _resolve_source, build_parser
+from zmcgraph.cli import _NO_JET, _catalog_grid, _resolve_source, build_parser, main
 from zmcgraph.lorentz import (
-    fd_graph_jet,
     first_form,
     minkowski_dot,
     null_line_check,
     Vec3M,
 )
+
+from fd_reference import fd_graph_jet
 
 
 class TestRegistry:
@@ -132,14 +135,68 @@ class TestConeTypeBranch:
 
     def test_quadratic_coefficient_is_minus_tan(self):
         # the x^2-coefficient of the graph through the null line must solve
-        # the constant-mu equation; here it is -tan(y), the mu = 1 family
-        for y in (0.4, 0.7):
-            g = fd_graph_jet(cone_type_height, 0.0, y)
-            assert g.pxx == pytest.approx(-math.tan(y), abs=1e-5)
+        # the constant-mu equation; here it is -tan(y), the mu = 1 family.
+        # The closed-form jet gives -sin/cos, within an ulp or two of tan
+        for y in (0.4, 0.7, 0.35, 0.9):
+            pxx = entry("mixed_cone_type").jet(0.0, y).f_uu.t
+            assert abs(pxx + math.tan(y)) <= 2 * math.ulp(math.tan(y))
 
     def test_entire_line_on_the_zero_set(self):
         for s in (-20.0, -3.0, 0.9, 14.0):
             assert cone_type_implicit(0.0, s, s) == 0.0
+
+
+# Newton stops at |F| <= 1e-12 and |F_t| = (2 + x^2 + s^2) cos t > 1.2 on the
+# domain, so the heights fd_graph_jet differences carry up to 1e-12 of error.
+# Divided by its steps (2 h1 ~ 1.2e-5, h2^2 ~ 1.5e-8) and added to the
+# truncation error (h1^2, h2^2 times derivatives of order 10) that bounds
+# the first derivatives by 2e-7 and the second by 6e-4
+FD_ERROR = {"px": 1e-6, "py": 1e-6, "pxx": 1e-3, "pxy": 1e-3, "pyy": 1e-3}
+
+
+class TestConeTypeClosedFormJet:
+    def graph_jet(self, x, y):
+        j = entry("mixed_cone_type").jet(x, y)
+        return {"value": j.f.t, "px": j.f_u.t, "py": j.f_v.t,
+                "pxx": j.f_uu.t, "pxy": j.f_uv.t, "pyy": j.f_vv.t}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-0.3, 0.3), st.floats(0.35, 0.9))
+    def test_agrees_with_finite_differences(self, x, y):
+        got, fd = self.graph_jet(x, y), fd_graph_jet(cone_type_height, x, y)
+        assert got["value"] == fd.value  # the same Newton height
+        for name, err in FD_ERROR.items():
+            assert abs(got[name] - getattr(fd, name)) <= err, name
+
+    def test_null_line_is_null_exactly(self):
+        for y in np.linspace(0.35, 0.9, 23).tolist() + [-20.0, 3.0]:
+            g = self.graph_jet(0.0, y)
+            assert g["value"] == y and g["px"] == 0.0 and g["py"] == 1.0
+            assert first_form(entry("mixed_cone_type").jet(0.0, y))[1] == 0.0
+
+    def test_classify_counts_the_null_column_at_tol_0(self, tmp_path):
+        # the finite-difference jet left |B| ~ 1e-11 there: 0 null, "mixed type"
+        out = tmp_path / "r.json"
+        assert main(["classify", "--surface", "catalog:mixed_cone_type", "--tol", "0",
+                     "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["counts"] == {"spacelike": 420, "timelike": 0, "null": 21}
+        assert data["verdict"] == "maximal type"
+        (column,) = [c for c in data["columns"] if c["x"] == 0.0]
+        assert column["null"] == 21
+
+    @pytest.mark.parametrize("grid", ["default", "--grid=-0.3:0.3:201,0.35:0.9:201"])
+    def test_vertices_are_the_newton_heights(self, grid):
+        argv = ["mesh", "--surface", "catalog:mixed_cone_type", "--out", "unused.ply"]
+        args = build_parser().parse_args(argv + ([grid] if grid != "default" else []))
+        _, xs, ys, sample, _ = _resolve_source(args, 33)
+        U, V = np.meshgrid(xs, ys, indexing="ij")
+        points = sample()[0]
+        # the finite-difference jet's value was this solve on the meshgrid
+        heights = fd_graph_jet(cone_type_height, U, V).value
+        assert points[..., 2].tobytes() == heights.tobytes()
+        assert points[..., 0].tobytes() == U.tobytes()
+        assert points[..., 1].tobytes() == V.tobytes()
 
 
 @pytest.fixture(scope="module")

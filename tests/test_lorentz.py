@@ -13,7 +13,6 @@ from zmcgraph.lorentz import (
     Vec3M,
     classify,
     degenerate_test,
-    fd_graph_jet,
     first_form,
     graph_af_bf,
     graph_to_parametric,
@@ -26,6 +25,8 @@ from zmcgraph.lorentz import (
     zmc_residual,
 )
 from zmcgraph.series import psi_jet
+
+from fd_reference import fd_graph_jet
 
 FLAT_PLANE = graph_to_parametric(0.3, -0.7, GraphJet(0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
 

@@ -58,8 +58,8 @@ class TestMeshFormats:
     @pytest.fixture()
     def small_mesh(self):
         def evaluate(U, V):
-            kinds = np.where(U > 0, Causal.SPACELIKE, Causal.NULL)
-            return np.stack([U, V, U * V], axis=-1), kinds
+            signs = np.where(U > 0, 1, 0).astype(np.int8)
+            return np.stack([U, V, U * V], axis=-1), signs
 
         return build_grid_mesh(evaluate, np.linspace(-1, 1, 5), np.linspace(0, 1, 4))
 
@@ -171,6 +171,15 @@ class TestClassifyCommand:
         assert run("classify", "--coeffs", coeffs_ii,
                    "--grid=-0.0005:0.0005:5,-0.9:0.9:5", "--certified") == 0
 
+    def test_certified_cubic_seed_exits_2(self, coeffs_i, tmp_path, capsys):
+        # the certificate is proven for the quartic seeds; a grid well inside
+        # the quartic rectangle of the same c is no certificate for case i
+        out = tmp_path / "r.json"
+        assert run("classify", "--coeffs", coeffs_i, "--grid=-1e-6:1e-6:3,-0.5:0.5:3",
+                   "--certified", "--out", str(out)) == 2
+        assert "certificate covers quartic seeds" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_surface_exits_2(self):
         assert run("classify", "--surface", "catalog:nope") == 2
 
@@ -194,6 +203,36 @@ class TestClassifyCommand:
                 _grid(grid)
             assert "grid must look like X0:X1:NX,Y0:Y1:NY" in str(exc.value)
             assert f"more than {MAX_GRID_POINTS} points" in str(exc.value)
+
+
+# (change to a construct'ed coefficient dict, expected error text)
+MALFORMED = [
+    (lambda d: d.update(betas=[]), "betas must be an object"),
+    (lambda d: d.pop("c"), "has no 'c'"),
+    (lambda d: d["betas"].update({"4": ["0", "four"]}),
+     "beta_4 holds a string that is not a rational"),
+    (lambda d: d.update(order=3, betas={}), "order must be at least 4"),
+]
+
+
+class TestMalformedCoefficientFile:
+    @pytest.mark.parametrize("command", ["classify", "mesh"])
+    @pytest.mark.parametrize("change,message", MALFORMED)
+    def test_exits_2_with_message(self, coeffs_ii, command, change, message,
+                                  tmp_path, capsys):
+        data = json.load(open(coeffs_ii))
+        change(data)
+        bad, out = tmp_path / "bad.json", tmp_path / "out.ply"
+        bad.write_text(json.dumps(data))
+        assert run(command, "--coeffs", str(bad), "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_not_json_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{")
+        assert run("classify", "--coeffs", str(bad)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestBoundsCommand:
@@ -418,9 +457,9 @@ def loop_grid_mesh(evaluate, us, vs):
     verts = np.empty((nu * nv, 6))
     for i, u in enumerate(us):
         for j, v in enumerate(vs):
-            point, kind = evaluate(u, v)
+            point, sign = evaluate(u, v)
             verts[i * nv + j, :3] = point
-            verts[i * nv + j, 3:] = CAUSAL_COLORS[kind]
+            verts[i * nv + j, 3:] = SIGN_RGB[int(sign)]
     faces = []
     for i in range(nu - 1):
         for j in range(nv - 1):
@@ -521,11 +560,13 @@ def meshes(draw, n_verts, n_faces):
 
 
 class TestAsciiWriters:
-    # vertex and face counts on both sides of the writers' chunk size
-    @pytest.mark.parametrize("n_verts,n_faces", [
-        (0, 0), (1, 1), (37, 23), (ASCII_CHUNK - 1, ASCII_CHUNK + 1),
-        (ASCII_CHUNK, ASCII_CHUNK), (2 * ASCII_CHUNK + 1, 2 * ASCII_CHUNK - 1),
-    ])
+    # vertex and face counts on both sides of a 256-row chunk and of the
+    # writers' chunk size
+    @pytest.mark.parametrize("n_verts,n_faces", sorted({
+        (0, 0), (1, 1), (37, 23), (255, 257), (256, 256), (513, 511),
+        (ASCII_CHUNK - 1, ASCII_CHUNK + 1), (ASCII_CHUNK, ASCII_CHUNK),
+        (2 * ASCII_CHUNK + 1, 2 * ASCII_CHUNK - 1),
+    }))
     @settings(max_examples=5, deadline=None)
     @given(data=st.data())
     def test_bytes_equal_line_writers_and_read_back(self, n_verts, n_faces, data,
@@ -544,14 +585,42 @@ class TestAsciiWriters:
         assert back.vertices[~nan].tobytes() == m.vertices[~nan].tobytes()
         assert np.array_equal(back.faces, m.faces)
 
+    @pytest.mark.parametrize("nu,nv", [(3 * ASCII_CHUNK // 7 + 5, 7),
+                                       (3 * ASCII_CHUNK // 201 + 2, 201)])
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_grid_meshes_over_several_chunks(self, nu, nv, data, tmp_path_factory):
+        # grid-shaped: each x repeats over nv rows and each y every nv rows,
+        # so a chunk holds many copies of one value
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        us = rng.standard_normal(nu) * 10.0 ** rng.integers(-5, 5, nu)
+        vs = rng.standard_normal(nv)
+        us[:3], vs[:2] = [0.0, -0.0, np.nan], [-0.0, 0.0]  # all in the first chunk
+        U, V = np.meshgrid(us, vs, indexing="ij")
+        T = np.where(rng.random(U.shape) < 0.3, 1.5, np.sin(U) * V)  # repeats too
+        # non-integral colour floats, which %d truncates
+        rgb = rng.choice([0.0, 254.7, 255.0, 17.25, 1.999], size=(U.size, 3))
+        m = Mesh(np.column_stack([np.stack([U, V, T], -1).reshape(-1, 3), rgb]),
+                 build_grid_mesh(three_colour_evaluate, np.arange(nu), np.arange(nv)).faces)
+        assert len(m.vertices) > 3 * ASCII_CHUNK
+        assert len(m.faces) > 3 * ASCII_CHUNK  # each vertex in up to 6 faces
+        d = tmp_path_factory.mktemp("grid")
+        write_ply(m, str(d / "m.ply"))
+        write_obj(m, str(d / "m.obj"))
+        ply = (d / "m.ply").read_bytes()
+        body = ply[ply.index(b"end_header\n") + len(b"end_header\n"):]
+        assert body == line_ply_text(m).encode("ascii")
+        assert (d / "m.obj").read_bytes() == line_obj_text(m).encode("ascii")
+        assert b"\n-0 0 " in ply and b"nan" in ply and b" 254 " in ply
 
-THREE_KINDS = np.array([Causal.SPACELIKE, Causal.TIMELIKE, Causal.NULL])
+
+THREE_SIGNS = np.array([1, -1, 0], dtype=np.int8)
 
 
 def three_colour_evaluate(u, v):
     """Array form; also takes single points, as loop_grid_mesh passes them."""
-    kinds = THREE_KINDS[(10 * np.add(u, v)).astype(int) % 3]
-    return np.stack([u, v, np.sin(3 * u) * v], axis=-1), kinds
+    signs = THREE_SIGNS[(10 * np.add(u, v)).astype(int) % 3]
+    return np.stack([u, v, np.sin(3 * u) * v], axis=-1), signs
 
 
 class TestArrayPaths:
@@ -564,12 +633,21 @@ class TestArrayPaths:
         assert np.array_equal(m.faces, faces)
         assert m.faces.dtype == np.int64
 
-    def test_unknown_kind_rejected(self):
-        def evaluate(U, V):
-            return np.stack([U, V, V], axis=-1), np.full(U.shape, "spacelike")
+    def test_int8_signs_coloured_and_others_rejected(self):
+        us, vs = [0.0, 1.0, 2.0], [0.0, 1.0]
+        signs = np.array([[1, -1], [0, 1], [-1, 0]], dtype=np.int8)
 
-        with pytest.raises(ValueError, match="lorentz.Causal"):
-            build_grid_mesh(evaluate, [0.0, 1.0], [0.0, 1.0])
+        def evaluate(U, V):
+            return np.stack([U, V, V], axis=-1), signs
+
+        m = build_grid_mesh(evaluate, us, vs)
+        assert [tuple(v) for v in m.vertices[:, 3:]] == sign_colours(signs)
+        for bad in ([[2, 0], [0, 0], [0, 0]], [[0, 0], [-2, 0], [0, 0]],
+                    np.full((3, 2), Causal.NULL), np.full((3, 2), 0.0),
+                    np.full((3, 2), "spacelike")):
+            signs = np.array(bad) if isinstance(bad, list) else bad
+            with pytest.raises(ValueError, match=r"integers in -1\.\.1"):
+                build_grid_mesh(evaluate, us, vs)
 
     def test_binary_ply_matches_struct_writer(self, tmp_path):
         m = build_grid_mesh(three_colour_evaluate, np.linspace(-1, 1, 6),
@@ -695,7 +773,8 @@ class TestArgumentErrors:
             # Newton fails at many points; the first in grid order is named
             (["mesh", "--surface", "catalog:mixed_cone_type",
               "--grid=0.1:3:101,0.2:1.4:101", "--out", "{out}"],
-             "catalog:mixed_cone_type has no jet at (1.028, 1.388): Newton iteration"),
+             "catalog:mixed_cone_type has no jet at (1.115, 1.3639999999999999): "
+             "Newton iteration"),
             # B overflows: inf from v ~ 179 on, NaN from inf - inf above 370
             (["classify", "--surface", "catalog:elliptic_catenoid",
               "--grid=-1:1:5,300:400:5", "--out", "{out}"],

@@ -1,6 +1,7 @@
 """Series construction: recursion vs expansion, jets, homothety, alpha families."""
 import json
 import math
+import re
 import subprocess
 import sys
 import threading
@@ -521,6 +522,34 @@ class TestInterchangeFormat:
         data["betas"]["99"] = ["1"]
         with pytest.raises(ValueError, match="outside"):
             series_from_json(data)
+
+    @pytest.mark.parametrize("change,message", [
+        (lambda d: d.pop("c"), "has no 'c'"),
+        (lambda d: d.pop("betas"), "has no 'betas'"),
+        (lambda d: [d.pop("case"), d.pop("order")], "has no 'case', 'order'"),
+        (lambda d: d.update(betas=[]), "betas must be an object"),
+        (lambda d: d.update(betas=None), "betas must be an object"),
+        (lambda d: d["betas"].update({"4": "0 4"}), "beta_4 must be an array"),
+        (lambda d: d["betas"].update({"4": ["0", "4y"]}), "beta_4 holds a string"),
+        (lambda d: d["betas"].update({"6": ["0", 4]}), "beta_6 must hold rational strings"),
+        (lambda d: d["betas"].update({"6": ["1/0"]}), "beta_6 holds a string"),
+        (lambda d: d.update(c="one"), "c holds a string that is not a rational"),
+        (lambda d: d.update(c=1), "c must hold rational strings"),
+        (lambda d: d.update(order=3, betas={}), "order must be at least 4"),
+        (lambda d: d.update(order="8"), "order must be an integer"),
+        (lambda d: d.update(order=8.0), "order must be an integer"),
+        (lambda d: d.update(case="iv"), "not a valid SeriesCase"),
+    ])
+    def test_malformed_file_rejected(self, series_iii_c1_n8, change, message):
+        data = series_to_json(series_iii_c1_n8)
+        change(data)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            series_from_json(data)
+
+    def test_non_object_rejected(self):
+        for data in ([], "iii", None):
+            with pytest.raises(ValueError, match="JSON object"):
+                series_from_json(data)
 
 
 class TestBeta8Note:
