@@ -7,19 +7,14 @@ directed rounding, a closed-form surface corpus, and mesh export.
 
 from .poly import Rational, RationalPoly
 from .series import (
-    ALPHA_ZERO,
-    AlphaFamily,
     GraphSeries,
     SeedCondition,
     SeriesCase,
     af_bf_exact,
     af_fd_exact,
-    alpha_check,
-    alpha_family,
     beta8_sign_note,
     causal_signs,
     homothety,
-    homothety_graph,
     pqr_terms,
     psi_eval_exact,
     psi_jet,
@@ -60,8 +55,6 @@ from .catalog import SURFACE_NAMES, corpus_verify, entry, implicit_solve
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALPHA_ZERO",
-    "AlphaFamily",
     "BoundCheck",
     "Causal",
     "CausalVerdict",
@@ -77,8 +70,6 @@ __all__ = [
     "Vec3M",
     "af_bf_exact",
     "af_fd_exact",
-    "alpha_check",
-    "alpha_family",
     "beta8_sign_note",
     "causal_signs",
     "certificate",
@@ -91,7 +82,6 @@ __all__ = [
     "graph_af_bf",
     "graph_to_parametric",
     "homothety",
-    "homothety_graph",
     "implicit_solve",
     "minkowski_dot",
     "null_line_check",

@@ -15,6 +15,12 @@ sinh, cosh, tanh and tan can differ from them in the last bit), every
 division by zero raises as float division does, and the Newton solve steps
 each point as its scalar solve would.  A jet raises on an array exactly when
 it raises at one of its points.
+
+``sample`` is the one place a jet is called on arrays, and it names the first
+point that has no jet.  ``sample_grid`` gives ``classify`` and ``mesh`` the
+points and B of a grid through it, and ``corpus_verify`` samples each entry
+with one call, taking B, the scaled residual and the causal histogram as
+array expressions.
 """
 from __future__ import annotations
 
@@ -28,9 +34,7 @@ from .lorentz import (
     GraphJet,
     Jet2,
     Vec3M,
-    classify,
-    degenerate_test,
-    first_form,
+    first_form_det,
     graph_to_parametric,
     jet_scale,
     null_line_check,
@@ -75,11 +79,11 @@ class SurfaceEntry:
     jet: Callable[[float, float], Jet2]  # floats or arrays, see the module doc
     domain: tuple[tuple[float, float], tuple[float, float]]
     known_null_lines: tuple[NullLineSpec, ...] = ()
-    excluded: Callable[[float, float], bool] | None = None
+    excluded: Callable[[float, float], bool] | None = None  # floats or arrays
     notes: str = ""
 
     def B_field(self) -> Callable[[float, float], float]:
-        return lambda u, v: first_form(self.jet(u, v))[1]
+        return lambda u, v: first_form_det(self.jet(u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +232,9 @@ def implicit_solve(
     """
     if any(isinstance(a, np.ndarray) for a in (x, y, t_seed)):
         return _implicit_solve_array(F, x, y, t_seed, dF_dt, tol, max_steps)
-    # per-point callers (the corpus checks, fd steps of a scalar jet) keep this
-    # loop in Python floats: a one-element array solve costs about 20x more
+    # a scalar jet (the sampler naming the point it fails at, the per-point
+    # references the array solve is tested against) keeps this loop in Python
+    # floats: a one-element array solve costs about 20x more
     t = t_seed
     for _ in range(max_steps):
         ft = F(x, y, t)
@@ -446,6 +451,55 @@ def entry(name: str) -> SurfaceEntry:
 
 
 # ---------------------------------------------------------------------------
+# sampling
+# ---------------------------------------------------------------------------
+
+# what a jet raises at a point where it has none
+_NO_JET = (ArithmeticError, ValueError, ImplicitSolveError)
+
+
+def sample(e: SurfaceEntry, u: np.ndarray, v: np.ndarray) -> tuple[Jet2, np.ndarray]:
+    """Jet of entry e at the points of the broadcast arrays u and v, from one
+    ``e.jet`` call, and B there, broadcast to their shape.
+
+    Overflow and invalid operations give inf and NaN silently, as float
+    arithmetic does.  If some point has no jet, a ValueError names the first
+    one in flat order.
+    """
+    with np.errstate(all="ignore"):
+        try:
+            j = e.jet(u, v)
+        except _NO_JET:  # so some point has no jet: name the first
+            for a, b in zip(*(c.ravel().tolist() for c in np.broadcast_arrays(u, v))):
+                try:
+                    e.jet(a, b)
+                except _NO_JET as err:
+                    raise ValueError(
+                        f"catalog:{e.name} has no jet at ({a!r}, {b!r}): {err}"
+                    )
+            raise
+        B = first_form_det(j)
+    return j, np.broadcast_to(B, np.broadcast_shapes(np.shape(u), np.shape(v)))
+
+
+def sample_grid(e: SurfaceEntry, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """Points (x, y, t), shaped (NX, NY, 3), and B of entry e on xs x ys.
+
+    A ValueError names the first point in grid order that has no jet or a
+    non-finite B.
+    """
+    j, B = sample(e, xs[:, None], ys[None, :])
+    bad = np.flatnonzero(~np.isfinite(B))
+    if len(bad):
+        i, k = divmod(bad[0].item(), B.shape[1])
+        u, v, b = xs[i].item(), ys[k].item(), B[i, k].item()
+        raise ValueError(
+            f"catalog:{e.name} has no finite B at ({u!r}, {v!r}): B = {b}"
+        )
+    return np.stack([np.broadcast_to(c, B.shape) for c in j.f], axis=-1), B
+
+
+# ---------------------------------------------------------------------------
 # corpus verification
 # ---------------------------------------------------------------------------
 
@@ -453,7 +507,7 @@ def entry(name: str) -> SurfaceEntry:
 @dataclass(frozen=True)
 class CorpusRow:
     name: str
-    max_scaled_residual: float
+    max_scaled_residual: float | None  # None where some residual is not finite
     residual_pass: bool
     histogram: dict[str, int]
     causal_pass: bool
@@ -498,37 +552,58 @@ def corpus_verify(
 ) -> list[CorpusRow]:
     """Run residual, causal-histogram and null-line checks on the corpus.
 
-    The residual check is |A| / max(1, jet magnitude)^3 <= residual_tol at
-    every non-excluded grid point.  Light-like entries additionally measure
-    the fraction of sampled points that are degenerate null points.
+    Each entry is sampled with one ``sample`` call on the points of its
+    samples_per_surface^2 grid that ``excluded`` keeps.  The residual check
+    is |A| / max(1, jet magnitude)^3 <= residual_tol at every such point; the
+    histogram bins B > causal_tol, B < -causal_tol and |B| <= causal_tol.  A
+    non-finite residual or B fails the row, and a NaN B is never null.
+    Light-like entries also sample B one step either side of each point in u
+    and in v, and report the fraction of points that are degenerate null
+    points: |B| <= 1e-8 with a central-difference gradient of norm <= 1e-7.
     """
+    if not 0 <= causal_tol < math.inf:
+        raise ValueError(f"tol must be finite and nonnegative (got {causal_tol})")
     rows = []
     for name in names:
         e = entry(name)
         (u0, u1), (v0, v1) = e.domain
-        us = [float(u) for u in np.linspace(u0, u1, samples_per_surface)]
-        vs = [float(v) for v in np.linspace(v0, v1, samples_per_surface)]
-        worst = 0.0
-        hist = {"spacelike": 0, "timelike": 0, "null": 0}
-        n_deg = n_pts = 0
-        b_field = e.B_field() if e.expected_causal == "lightlike" else None
-        for u in us:
-            for v in vs:
-                if e.excluded is not None and e.excluded(u, v):
-                    continue
-                j = e.jet(u, v)
-                _, B = first_form(j)
-                worst = max(worst, abs(zmc_residual(j)) / jet_scale(j))
-                hist[classify(B, causal_tol).kind.value] += 1
-                n_pts += 1
-                if b_field is not None:
-                    n_deg += degenerate_test(b_field, (u, v), tol=1e-8)
+        us = np.linspace(u0, u1, samples_per_surface)
+        vs = np.linspace(v0, v1, samples_per_surface)
+        u, v = np.repeat(us, len(vs)), np.tile(vs, len(us))  # grid order
+        if e.excluded is not None:
+            keep = ~e.excluded(u, v)
+            u, v = u[keep], v[keep]
+        lightlike = e.expected_causal == "lightlike"
+        h = 6.06e-6  # the step of lorentz.degenerate_test
+        if lightlike:  # row 0 the samples, rows 1-4 a step off them in u and v
+            u, v = np.stack([u, u + h, u - h, u, u]), np.stack([v, v, v, v + h, v - h])
+        else:
+            u, v = u[None], v[None]
+        j, B = sample(e, u, v)
+        b = B[0]
+        hist = {
+            "spacelike": int(np.count_nonzero(b > causal_tol)),
+            "timelike": int(np.count_nonzero(b < -causal_tol)),
+            "null": int(np.count_nonzero(np.abs(b) <= causal_tol)),
+        }
+        degenerate_fraction = None
+        with np.errstate(all="ignore"):  # a non-finite result fails the row
+            scaled = np.abs(zmc_residual(j)) / jet_scale(j)
+            worst = float(np.max(np.broadcast_to(scaled, B.shape)[0], initial=0.0))
+            if lightlike:
+                grad = np.hypot((B[1] - B[2]) / (2.0 * h), (B[3] - B[4]) / (2.0 * h))
+                degenerate = (np.abs(b) <= 1e-8) & (grad <= 1e-7)
+                degenerate_fraction = int(np.count_nonzero(degenerate)) / b.size
         line_results = []
         for line in e.known_null_lines:
             verdict = null_line_check(line.sample_points(21), tol=line_tol)
             line_results.append((line.label, verdict.is_null_line))
-        residual_pass = worst <= residual_tol
-        causal_pass = _histogram_matches(e.expected_causal, hist)
+        if not math.isfinite(worst):
+            worst = None  # strict JSON has no NaN or inf
+        residual_pass = worst is not None and worst <= residual_tol
+        causal_pass = bool(np.isfinite(b).all()) and _histogram_matches(
+            e.expected_causal, hist
+        )
         null_pass = all(ok for _, ok in line_results)
         rows.append(
             CorpusRow(
@@ -539,7 +614,7 @@ def corpus_verify(
                 causal_pass=causal_pass,
                 null_lines=tuple(line_results),
                 null_pass=null_pass,
-                degenerate_fraction=(n_deg / n_pts) if b_field is not None else None,
+                degenerate_fraction=degenerate_fraction,
                 passed=residual_pass and causal_pass and null_pass,
             )
         )

@@ -11,13 +11,16 @@ Subcommands:
   covers the quartic seeds only; on a case i series it exits 2.
 * ``bounds``: convergence certificate, width profile and non-convexity witness.
 * ``verify``: the verification suites (recursion equivalence, coefficient
-  growth estimates, surface corpus).
+  growth estimates, surface corpus); a corpus row fails where a residual or
+  B is not finite.
 * ``mesh``: triangulated export with causal vertex colors (PLY or OBJ),
   looked up from the same int8 signs as ``classify``; a vertex that is not
   finite exits 2.  ASCII is written per chunk of rows, each distinct value
-  formatted once.  A catalog surface is sampled with one jet call on the
-  grid's axes (for ``mixed_cone_type``, one Newton solve and a closed-form
-  jet).
+  formatted once.
+
+A catalog surface is sampled by ``catalog.sample_grid``, the sampler the
+corpus uses too: one jet call on the grid's axes (for ``mixed_cone_type``,
+one Newton solve and a closed-form jet).
 
 Exit codes: 0 success, 1 verification failure, 2 argument violation (a
 malformed coefficient file included), 3 certificate violation, 4 I/O failure.
@@ -34,7 +37,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import catalog, mesh as mesh_mod
-from .lorentz import classify, first_form
+from .lorentz import classify
 from .poly import RationalPoly
 from .series import (
     GraphSeries,
@@ -57,9 +60,6 @@ EXIT_IO = 4
 # most points --grid may ask for: a 201 x 201 mesh holds 40401, and a mesh
 # keeps a few hundred bytes per point, so this caps it at a few hundred MB
 MAX_GRID_POINTS = 1_000_000
-
-# what a catalog jet raises at a point where it has none
-_NO_JET = (ArithmeticError, ValueError, catalog.ImplicitSolveError)
 
 # the report's letter of each sign of B, indexed by the sign: 0, 1, -1
 _SIGN_LETTERS = np.frombuffer(b"nst", dtype="S1")
@@ -167,32 +167,6 @@ def _summary_verdict(counts: dict[str, int], min_points: int = 5) -> str:
     return "light-like"
 
 
-def _catalog_grid(e: catalog.SurfaceEntry, xs, ys) -> tuple[np.ndarray, np.ndarray]:
-    """Points (x, y, t), shaped (NX, NY, 3), and B of entry e on xs x ys, from
-    one ``e.jet`` call on the broadcast axes; a ValueError names the first
-    point in grid order that has no jet or a non-finite B."""
-    label = f"catalog:{e.name}"
-    shape = (len(xs), len(ys))
-    with np.errstate(all="ignore"):  # overflow to inf is caught below
-        try:
-            j = e.jet(xs[:, None], ys[None, :])
-        except _NO_JET:  # so some point has no jet: name the first
-            for u in xs.tolist():
-                for v in ys.tolist():
-                    try:
-                        e.jet(u, v)
-                    except _NO_JET as err:
-                        raise ValueError(f"{label} has no jet at ({u!r}, {v!r}): {err}")
-            raise
-        B = np.broadcast_to(first_form(j)[1], shape)
-    bad = np.flatnonzero(~np.isfinite(B))
-    if len(bad):
-        i, k = divmod(bad[0].item(), shape[1])
-        u, v, b = xs[i].item(), ys[k].item(), B[i, k].item()
-        raise ValueError(f"{label} has no finite B at ({u!r}, {v!r}): B = {b}")
-    return np.stack([np.broadcast_to(c, shape) for c in j.f], axis=-1), B
-
-
 def _resolve_source(args, n: int):
     """The --coeffs or --surface source of ``classify`` and ``mesh``.
 
@@ -222,7 +196,7 @@ def _resolve_source(args, n: int):
         label, domain = f"catalog:{e.name}", e.domain
 
         def sample():
-            points, B = _catalog_grid(e, xs, ys)
+            points, B = catalog.sample_grid(e, xs, ys)
             return points, (B > args.tol).astype(np.int8) - (B < -args.tol), None
 
     if args.grid is not None:

@@ -16,6 +16,7 @@ by the cubed jet magnitude.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -91,14 +92,25 @@ def first_form(j: Jet2) -> tuple[np.ndarray, float]:
     """First fundamental form matrix P and B = det(P).
 
     A jet of arrays gives P shaped (2, 2) + the broadcast shape of its
-    entries, and B as computed from them (a scalar when the first
-    derivatives do not vary, as on a plane).
+    entries, and B as ``first_form_det`` computes it.
     """
     p11 = minkowski_dot(j.f_u, j.f_u)
     p12 = minkowski_dot(j.f_u, j.f_v)
     p22 = minkowski_dot(j.f_v, j.f_v)
     P = np.array(np.broadcast_arrays(p11, p12, p12, p22), dtype=float)
-    return P.reshape((2, 2) + P.shape[1:]), p11 * p22 - p12 * p12
+    return P.reshape((2, 2) + P.shape[1:]), first_form_det(j)
+
+
+def first_form_det(j: Jet2) -> float:
+    """B = det(P) = p11 p22 - p12^2, without building P.
+
+    A jet of arrays gives B as computed from them (a scalar when the first
+    derivatives do not vary, as on a plane).
+    """
+    p11 = minkowski_dot(j.f_u, j.f_u)
+    p12 = minkowski_dot(j.f_u, j.f_v)
+    p22 = minkowski_dot(j.f_v, j.f_v)
+    return p11 * p22 - p12 * p12
 
 
 def lorentz_normal(j: Jet2) -> Vec3M:
@@ -132,15 +144,18 @@ def zmc_residual(j: Jet2) -> float:
 
 
 def jet_scale(j: Jet2) -> float:
-    """Cubed jet magnitude, the normalization for A-residual checks."""
-    m = max(
-        _norm(j.f_u), _norm(j.f_v), _norm(j.f_uu), _norm(j.f_uv), _norm(j.f_vv)
-    )
-    return max(1.0, m) ** 3
+    """Cubed jet magnitude, the normalization for A-residual checks.
+
+    max(1, |f_u|, |f_v|, |f_uu|, |f_uv|, |f_vv|)^3, elementwise on a jet of
+    arrays; a NaN norm makes it NaN.  The cube is the C library's pow, as
+    float ``**`` takes it, so a float jet and an array jet agree bit for bit.
+    """
+    norms = map(_norm, (j.f_u, j.f_v, j.f_uu, j.f_uv, j.f_vv))
+    return np.float_power(functools.reduce(np.maximum, norms, 1.0), 3)
 
 
 def _norm(v: Vec3M) -> float:
-    return math.sqrt(v.x * v.x + v.y * v.y + v.t * v.t)
+    return np.sqrt(v.x * v.x + v.y * v.y + v.t * v.t)
 
 
 def graph_af_bf(g: GraphJet) -> tuple[float, float]:

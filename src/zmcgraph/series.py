@@ -35,114 +35,12 @@ import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .lorentz import GraphJet, graph_af_bf
 from .poly import RationalPoly, ZERO_POLY
-
-# ---------------------------------------------------------------------------
-# alpha families: solutions of alpha' + alpha^2 + mu = 0
-# ---------------------------------------------------------------------------
-
-_POLE_EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class AlphaFamily:
-    """Closed-form solution family of alpha' + alpha^2 + mu = 0.
-
-    ``shift`` is the integration constant (the c in y + c); ``mu`` is the
-    normalized causal constant in {-1, 0, 1}.
-    """
-
-    tag: str
-    shift: float = 0.0
-    mu: int = 0
-
-    def is_pole(self, y: float) -> bool:
-        s = y + self.shift
-        if self.tag == "plus":
-            return abs(math.cos(s)) < _POLE_EPS
-        if self.tag in ("zeroII", "minusII"):
-            return abs(s) < _POLE_EPS
-        return False
-
-    def value(self, y: float) -> float:
-        s = y + self.shift
-        if self.tag == "plus":
-            return -math.tan(s)
-        if self.tag == "zeroI":
-            return 0.0
-        if self.tag == "zeroII":
-            return 1.0 / s
-        if self.tag == "minusI":
-            return math.tanh(s)
-        if self.tag == "minusII":
-            return math.cosh(s) / math.sinh(s)
-        if self.tag == "minusIII+":
-            return 1.0
-        if self.tag == "minusIII-":
-            return -1.0
-        raise ValueError(f"unknown alpha family tag {self.tag!r}")
-
-    def slope(self, y: float) -> float:
-        s = y + self.shift
-        if self.tag == "plus":
-            return -1.0 / math.cos(s) ** 2
-        if self.tag == "zeroII":
-            return -1.0 / (s * s)
-        if self.tag == "minusI":
-            return 1.0 / math.cosh(s) ** 2
-        if self.tag == "minusII":
-            return -1.0 / math.sinh(s) ** 2
-        return 0.0
-
-    def ode_residual(self, y: float) -> float:
-        a = self.value(y)
-        return self.slope(y) + a * a + self.mu
-
-
-_FAMILY_MU = {
-    "plus": 1,
-    "zeroI": 0,
-    "zeroII": 0,
-    "minusI": -1,
-    "minusII": -1,
-    "minusIII+": -1,
-    "minusIII-": -1,
-}
-
-
-def alpha_family(tag: str, shift: float = 0.0) -> AlphaFamily:
-    if tag not in _FAMILY_MU:
-        raise ValueError(f"unknown alpha family tag {tag!r}")
-    return AlphaFamily(tag, shift, _FAMILY_MU[tag])
-
-
-ALPHA_ZERO = alpha_family("zeroI")
-
-
-@dataclass(frozen=True)
-class AlphaCheckReport:
-    entries: tuple[tuple[float, float | None, str | None], ...]
-    max_residual: float
-
-
-def alpha_check(fam: AlphaFamily, samples: Sequence[float]) -> AlphaCheckReport:
-    """Residual |alpha' + alpha^2 + mu| over samples; poles become error rows."""
-    entries = []
-    worst = 0.0
-    for y in samples:
-        if fam.is_pole(y):
-            entries.append((y, None, "pole"))
-            continue
-        r = abs(fam.ode_residual(y))
-        worst = max(worst, r)
-        entries.append((y, r, None))
-    return AlphaCheckReport(tuple(entries), worst)
-
 
 # ---------------------------------------------------------------------------
 # seeds and the series container
@@ -728,15 +626,6 @@ def homothety(s: GraphSeries, m: Fraction) -> GraphSeries:
         (k, [(d, c) for d, c in enumerate(bk.coeffs) if c]) for k, bk in s.betas.items()
     ]
     return GraphSeries(new_seed, s.order, _rescaled(rows, m, 1))
-
-
-def homothety_graph(
-    psi: Callable[[float, float], float], m: float
-) -> Callable[[float, float], float]:
-    """Homothetic rescaling of a black-box graph function."""
-    if m <= 0:
-        raise ValueError("homothety factor must be positive")
-    return lambda x, y: psi(m * x, m * y) / m
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zmcgraph import catalog
 from zmcgraph.catalog import (
+    _NO_JET,
     SURFACE_NAMES,
     ImplicitSolveError,
     cone_type_dt,
@@ -17,15 +19,20 @@ from zmcgraph.catalog import (
     entry,
     hyperbolic_catenoid_height,
     implicit_solve,
+    sample_grid,
 )
-from zmcgraph.cli import _NO_JET, _catalog_grid, _resolve_source, build_parser, main
+from zmcgraph.cli import _resolve_source, build_parser, main
 from zmcgraph.lorentz import (
+    GraphJet,
     first_form,
+    graph_to_parametric,
+    jet_scale,
     minkowski_dot,
     null_line_check,
     Vec3M,
 )
 
+from corpus_reference import corpus_verify_loop, scalar_jet_scale
 from fd_reference import fd_graph_jet
 
 
@@ -240,6 +247,55 @@ class TestCorpus:
         labels = {label for label, _ in report["hyperbolic_catenoid"].null_lines}
         assert len(labels) == 6
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(2, 25),
+        st.just(0.0) | st.floats(-20.0, -5.0).map(lambda k: 10.0**k),
+        st.just(0.0) | st.floats(-20.0, -5.0).map(lambda k: 10.0**k),
+    )
+    def test_rows_equal_the_point_loop(self, samples, residual_tol, causal_tol):
+        got = corpus_verify(samples, residual_tol, causal_tol)
+        want = corpus_verify_loop(samples, residual_tol, causal_tol)
+        assert [r.name for r in got] == list(SURFACE_NAMES)
+        assert json.dumps([r.to_json() for r in got]) == json.dumps(
+            [r.to_json() for r in want]
+        )
+
+    @pytest.mark.parametrize("tol", [-1e-10, math.inf, math.nan])
+    def test_bad_causal_tol_rejected(self, tol):
+        for verify in (corpus_verify, corpus_verify_loop):
+            with pytest.raises(ValueError, match="tol must be finite"):
+                verify(causal_tol=tol)
+
+    @pytest.mark.parametrize("field", ["pxx", "py"])
+    def test_non_finite_sample_fails_its_row(self, monkeypatch, tmp_path, field):
+        # the light-like plane with a NaN in one jet entry at the sample (0, 0):
+        # in pxx it makes A NaN, in py both A and B
+        def graph_jet(x, y):
+            g = dict(value=y, px=0.0, py=1.0, pxx=0.0, pxy=0.0, pyy=0.0)
+            g[field] = g[field] + np.where((x == 0.0) & (y == 0.0), np.nan, 0.0)
+            return GraphJet(**g)
+
+        holed = dataclasses.replace(
+            entry("lightlike_plane"),
+            jet=lambda x, y: graph_to_parametric(x, y, graph_jet(x, y)),
+        )
+        monkeypatch.setitem(catalog._ENTRIES, "lightlike_plane", holed)
+        (row,) = corpus_verify(names=["lightlike_plane"])
+        assert row.max_scaled_residual is None and not row.residual_pass
+        assert row.causal_pass is (field == "pxx")
+        assert row.histogram["null"] == 13 * 13 - (field == "py")
+        assert not row.passed
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--suite", "corpus", "--out", str(out)]) == 1
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        rows = json.loads(out.read_text(), parse_constant=reject)
+        (plane,) = [r for r in rows if r["name"] == "lightlike_plane"]
+        assert plane["max_scaled_residual"] is None and plane["pass"] is False
+
     def test_null_line_samples_span_ten(self):
         line = entry("hyperbolic_catenoid").known_null_lines[0]
         pts = line.sample_points(21)
@@ -266,7 +322,7 @@ def off_centre_grid(name):
 
 
 class TestArrayJets:
-    """Array jets and the CLI's catalog sampler equal per-point jets bit for bit."""
+    """Array jets and the catalog sampler equal per-point jets bit for bit."""
 
     @pytest.mark.parametrize("name", SURFACE_NAMES)
     @pytest.mark.parametrize("grid", ["default", "off-centre"])
@@ -279,7 +335,7 @@ class TestArrayJets:
         U, V = np.meshgrid(xs, ys, indexing="ij")
         e = entry(name)
         points, B = loop_sample(e, U, V)
-        got_points, got_B = _catalog_grid(e, xs, ys)
+        got_points, got_B = sample_grid(e, xs, ys)
         assert got_points.shape == points.shape and got_B.shape == B.shape
         assert got_points.tobytes() == points.tobytes()
         assert got_B.tobytes() == B.tobytes()
@@ -297,6 +353,9 @@ class TestArrayJets:
                 got = np.broadcast_to(getattr(jet, field.name)[k], U.shape).ravel()
                 want = np.array([getattr(r, field.name)[k] for r in ref])
                 assert got.tobytes() == want.tobytes(), (field.name, k)
+        # the corpus's residual scale, against max(...) ** 3 in Python floats
+        scale = np.broadcast_to(jet_scale(jet), U.shape).ravel()
+        assert scale.tobytes() == np.array([scalar_jet_scale(r) for r in ref]).tobytes()
 
     def test_sampler_names_first_point_without_jet(self):
         # hyperbolic_catenoid has no jet at its cone point (0, 0)
@@ -321,4 +380,4 @@ class TestArrayJets:
         assert np.isfinite(B[:, :2]).all() and not np.isfinite(B[:, 2:]).any()
         assert np.isnan(B).any()
         with pytest.raises(ValueError, match=r"no finite B at \(-1\.0, 200\.0\)"):
-            _catalog_grid(e, xs, ys)
+            sample_grid(e, xs, ys)

@@ -1,4 +1,4 @@
-"""Series construction: recursion vs expansion, jets, homothety, alpha families."""
+"""Series construction: recursion vs expansion, jets, homothety."""
 import json
 import math
 import re
@@ -15,7 +15,6 @@ import zmcgraph.series as series_mod
 from zmcgraph.bounds import u_halfwidth
 from zmcgraph.poly import RationalPoly, ZERO_POLY
 from zmcgraph.series import (
-    ALPHA_ZERO,
     MAX_ORDER,
     GraphSeries,
     SeedCondition,
@@ -23,13 +22,10 @@ from zmcgraph.series import (
     _unit_betas,
     af_bf_exact,
     af_fd_exact,
-    alpha_check,
-    alpha_family,
     beta8_sign_note,
     causal_signs,
     graph_jet_exact,
     homothety,
-    homothety_graph,
     pqr_terms,
     psi_eval_exact,
     psi_jet,
@@ -440,48 +436,9 @@ class TestHomothety:
         a_orig, _ = af_bf_exact(series_iii_c1_n8, m * x, m * y)
         assert a_scaled == m * a_orig
 
-    def test_graph_rescaling(self):
-        plane = homothety_graph(lambda x, y: y, 3.0)
-        assert plane(0.4, 1.7) == pytest.approx(1.7)
-
     def test_nonpositive_factor_rejected(self, series_iii_c1_n8):
         with pytest.raises(ValueError):
             homothety(series_iii_c1_n8, Fraction(-1))
-        with pytest.raises(ValueError):
-            homothety_graph(lambda x, y: y, 0.0)
-
-
-class TestAlphaFamilies:
-    def test_zero_family_exact(self):
-        rep = alpha_check(ALPHA_ZERO, [-5.0, 0.0, 2.5])
-        assert rep.max_residual == 0.0
-
-    def test_tan_family(self):
-        rep = alpha_check(alpha_family("plus"), [0.3])
-        assert rep.max_residual <= 1e-12
-
-    def test_constant_families_exact(self):
-        for tag in ("minusIII+", "minusIII-"):
-            rep = alpha_check(alpha_family(tag), [0.0, 1.0, -3.0])
-            assert rep.max_residual == 0.0
-
-    @pytest.mark.parametrize(
-        "tag,shift", [("plus", 0.2), ("zeroII", 1.0), ("minusI", -0.3), ("minusII", 0.5)]
-    )
-    def test_ode_residual_everywhere_sampled(self, tag, shift):
-        fam = alpha_family(tag, shift)
-        ys = [v / 10 for v in range(-12, 13) if not fam.is_pole(v / 10)]
-        assert alpha_check(fam, ys).max_residual <= 1e-10
-
-    def test_pole_reported_not_raised(self):
-        fam = alpha_family("plus")
-        rep = alpha_check(fam, [math.pi / 2, 0.0])
-        assert rep.entries[0][2] == "pole"
-        assert rep.entries[1][2] is None
-
-    def test_unknown_tag(self):
-        with pytest.raises(ValueError, match="unknown"):
-            alpha_family("quux")
 
 
 class TestInterchangeFormat:
