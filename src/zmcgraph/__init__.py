@@ -5,7 +5,7 @@ Exact rational series construction of ZMC graphs through the light-like line
 directed rounding, a closed-form surface corpus, and mesh export.
 """
 
-from .poly import Rational, RationalPoly
+from .poly import RationalPoly
 from .series import (
     GraphSeries,
     SeedCondition,
@@ -31,13 +31,11 @@ from .lorentz import (
     Jet2,
     Vec3M,
     classify,
-    degenerate_test,
     first_form,
     graph_af_bf,
     graph_to_parametric,
     minkowski_dot,
     null_line_check,
-    second_form,
     zmc_residual,
 )
 from .bounds import (
@@ -62,7 +60,6 @@ __all__ = [
     "GraphJet",
     "GraphSeries",
     "Jet2",
-    "Rational",
     "RationalPoly",
     "SURFACE_NAMES",
     "SeedCondition",
@@ -76,7 +73,6 @@ __all__ = [
     "classify",
     "convexity_witness",
     "corpus_verify",
-    "degenerate_test",
     "entry",
     "first_form",
     "graph_af_bf",
@@ -89,7 +85,6 @@ __all__ = [
     "psi_eval_exact",
     "psi_jet",
     "residual_order_slope",
-    "second_form",
     "series_from_expansion",
     "series_from_json",
     "series_from_recursion",

@@ -45,21 +45,25 @@ from .series import GraphSeries, SeriesCase
 # ---------------------------------------------------------------------------
 
 
-def round_up(x, steps: int = 4):
-    """x nudged ``steps`` ulps toward +inf, element by element on an array.
+# ulps by which round_up and round_down nudge a value
+ROUND_STEPS = 4
+
+
+def round_up(x):
+    """x nudged ROUND_STEPS ulps toward +inf, element by element on an array.
 
     Exact zeros carry no roundoff and stay as they are.
     """
     y = x
-    for _ in range(steps):
+    for _ in range(ROUND_STEPS):
         y = np.nextafter(y, np.inf)
     return np.where(x == 0.0, x, y)
 
 
-def round_down(x, steps: int = 4):
-    """x nudged ``steps`` ulps toward -inf, element by element; zeros stay."""
+def round_down(x):
+    """x nudged ROUND_STEPS ulps toward -inf, element by element; zeros stay."""
     y = x
-    for _ in range(steps):
+    for _ in range(ROUND_STEPS):
         y = np.nextafter(y, -np.inf)
     return np.where(x == 0.0, x, y)
 

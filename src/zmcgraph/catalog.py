@@ -3,10 +3,10 @@
 Each entry packages an evaluator producing second-order jets (analytic where
 the parametrization is explicit; for the implicit entry, one Newton solve for
 the height and the implicit function theorem for its derivatives), the
-expected causal character, any known straight null lines
-on the surface, and a sampling domain with documented exclusions around
-singular sets.  The corpus contract is that every entry's zero-mean-curvature
-residual vanishes numerically on its sampling domain.
+expected causal character, any known straight null lines on the surface (as
+segments of its parameter plane), and a sampling domain with documented
+exclusions around singular sets.  The corpus contract is that every entry's
+zero-mean-curvature residual vanishes numerically on its sampling domain.
 
 Every jet takes floats or whole arrays (a meshgrid, say) with one body.  On
 arrays each point gets exactly the float operations of its own scalar call:
@@ -20,7 +20,7 @@ it raises at one of its points.
 point that has no jet.  ``sample_grid`` gives ``classify`` and ``mesh`` the
 points and B of a grid through it, and ``corpus_verify`` samples each entry
 with one call, taking B, the scaled residual and the causal histogram as
-array expressions.
+array expressions, and samples each known null line on the surface itself.
 """
 from __future__ import annotations
 
@@ -53,22 +53,20 @@ SURFACE_NAMES = (
 
 @dataclass(frozen=True)
 class NullLineSpec:
-    """A straight light-like line known to lie on the surface."""
+    """A straight light-like line known to lie on a catalog surface: the image
+    of the segment from ``start`` to ``end`` in the surface's parameter plane."""
 
-    point: Vec3M
-    direction: Vec3M
+    surface: str
+    start: tuple[float, float]
+    end: tuple[float, float]
     label: str
-    span: float = 10.0
 
     def sample_points(self, n: int = 21) -> list[Vec3M]:
-        return [
-            Vec3M(
-                self.point.x + s * self.direction.x,
-                self.point.y + s * self.direction.y,
-                self.point.t + s * self.direction.t,
-            )
-            for s in np.linspace(-self.span, self.span, n)
-        ]
+        """The surface's points at n evenly spaced parameters from start to end."""
+        (u0, v0), (u1, v1) = self.start, self.end
+        u, v = np.linspace(u0, u1, n), np.linspace(v0, v1, n)
+        j, _ = sample(entry(self.surface), u, v)
+        return [Vec3M(*p) for p in zip(*(np.broadcast_to(c, n).tolist() for c in j.f))]
 
 
 @dataclass(frozen=True)
@@ -81,9 +79,6 @@ class SurfaceEntry:
     known_null_lines: tuple[NullLineSpec, ...] = ()
     excluded: Callable[[float, float], bool] | None = None  # floats or arrays
     notes: str = ""
-
-    def B_field(self) -> Callable[[float, float], float]:
-        return lambda u, v: first_form_det(self.jet(u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +155,8 @@ def _timelike_tanh_jet(theta: float, t: float) -> Jet2:
 # ---------------------------------------------------------------------------
 
 
-def hyperbolic_catenoid_height(x: float, y: float) -> float:
-    """Upper sheet of sin^2 x + y^2 = t^2."""
-    return math.sqrt(math.sin(x) ** 2 + y * y)
-
-
 def _hyperbolic_catenoid_graph_jet(x: float, y: float) -> GraphJet:
+    """Upper sheet t = sqrt(sin^2 x + y^2) of sin^2 x + y^2 = t^2."""
     g = _each(lambda a: math.sin(a) ** 2, x) + y * y
     gx = _each(math.sin, 2.0 * x)
     gxx = 2.0 * _each(math.cos, 2.0 * x)
@@ -211,79 +202,73 @@ class ImplicitSolveError(RuntimeError):
     pass
 
 
+NEWTON_TOL = 1e-12
+NEWTON_MAX_STEPS = 50
+
+
 def implicit_solve(
     F: Callable[[float, float, float], float],
     x: float,
     y: float,
     t_seed: float,
-    dF_dt: Callable[[float, float, float], float] | None = None,
-    tol: float = 1e-12,
-    max_steps: int = 50,
+    dF_dt: Callable[[float, float, float], float],
 ) -> float:
-    """Newton-solve F(x, y, t) = 0 for t from a seed value.
+    """Newton-solve F(x, y, t) = 0 for t from a seed value, with t-derivative dF_dt.
 
-    Uses the supplied t-derivative or a central difference.  Raises
-    ImplicitSolveError on a vanishing derivative or non-convergence.  If any
-    of x, y, t_seed is an array, every point is solved at once: F and dF_dt
-    are called on the arrays of the points still iterating, and each point
-    takes the steps of its scalar solve and stops where that solve stops.
-    The error then names the first point, in flat order, of those that fail
-    at the earliest failing step.
+    Stops where |F| <= NEWTON_TOL.  Raises ImplicitSolveError on a derivative
+    below 1e-14 in magnitude or after NEWTON_MAX_STEPS steps.  If any of x,
+    y, t_seed is an array, every point is solved at once: F and dF_dt are
+    called on the arrays of the points still iterating, and each point takes
+    the steps of its scalar solve and stops where that solve stops.  The
+    error then names the first point, in flat order, of those that fail at
+    the earliest failing step.
     """
     if any(isinstance(a, np.ndarray) for a in (x, y, t_seed)):
-        return _implicit_solve_array(F, x, y, t_seed, dF_dt, tol, max_steps)
+        return _implicit_solve_array(F, x, y, t_seed, dF_dt)
     # a scalar jet (the sampler naming the point it fails at, the per-point
     # references the array solve is tested against) keeps this loop in Python
     # floats: a one-element array solve costs about 20x more
     t = t_seed
-    for _ in range(max_steps):
+    for _ in range(NEWTON_MAX_STEPS):
         ft = F(x, y, t)
-        if abs(ft) <= tol:
+        if abs(ft) <= NEWTON_TOL:
             return t
-        if dF_dt is not None:
-            d = dF_dt(x, y, t)
-        else:
-            h = 1e-7 * max(1.0, abs(t))
-            d = (F(x, y, t + h) - F(x, y, t - h)) / (2.0 * h)
+        d = dF_dt(x, y, t)
         if abs(d) < 1e-14:
             raise _flat_derivative(x, y, t)
         t -= ft / d
-    raise _no_convergence(F, x, y, t, max_steps)
+    raise _no_convergence(F, x, y, t)
 
 
-def _implicit_solve_array(F, x, y, t_seed, dF_dt, tol, max_steps):
+def _implicit_solve_array(F, x, y, t_seed, dF_dt):
     x, y, t = np.broadcast_arrays(x, y, t_seed)
     x, y, t = x.ravel(), y.ravel(), np.array(t, dtype=float)
     flat_t = t.reshape(-1)  # a view: the solved points are written into t
     live = np.arange(t.size)  # points still iterating, in flat order
-    for _ in range(max_steps):
+    for _ in range(NEWTON_MAX_STEPS):
         xl, yl, tl = x[live], y[live], flat_t[live]
         ft = F(xl, yl, tl)
-        go = ~(np.abs(ft) <= tol)
+        go = ~(np.abs(ft) <= NEWTON_TOL)
         live, xl, yl, tl, ft = live[go], xl[go], yl[go], tl[go], ft[go]
         if not live.size:
             return t
-        if dF_dt is not None:
-            d = dF_dt(xl, yl, tl)
-        else:
-            h = 1e-7 * np.fmax(1.0, np.abs(tl))  # fmax passes over NaN as max() does
-            d = (F(xl, yl, tl + h) - F(xl, yl, tl - h)) / (2.0 * h)
+        d = dF_dt(xl, yl, tl)
         flat = np.abs(d) < 1e-14
         if flat.any():
             k = flat.argmax()
             raise _flat_derivative(float(xl[k]), float(yl[k]), float(tl[k]))
         flat_t[live] = tl - ft / d
     i = live[0]
-    raise _no_convergence(F, float(x[i]), float(y[i]), float(flat_t[i]), max_steps)
+    raise _no_convergence(F, float(x[i]), float(y[i]), float(flat_t[i]))
 
 
 def _flat_derivative(x: float, y: float, t: float) -> ImplicitSolveError:
     return ImplicitSolveError(f"vanishing t-derivative near t = {t!r} at ({x!r}, {y!r})")
 
 
-def _no_convergence(F, x: float, y: float, t: float, max_steps: int) -> ImplicitSolveError:
+def _no_convergence(F, x: float, y: float, t: float) -> ImplicitSolveError:
     return ImplicitSolveError(
-        f"Newton iteration did not converge within {max_steps} steps "
+        f"Newton iteration did not converge within {NEWTON_MAX_STEPS} steps "
         f"at ({x!r}, {y!r}); |F| = {abs(F(x, y, t)):.3e}"
     )
 
@@ -334,8 +319,6 @@ def _graph_entry_jet(graph_jet_fn):
     return jet
 
 
-_L_DIR = Vec3M(0.0, 1.0, 1.0)
-
 _ENTRIES: dict[str, SurfaceEntry] = {}
 
 
@@ -364,7 +347,7 @@ _register(
         jet=_light_cone_jet,
         domain=((0.0, 2.0 * math.pi), (-1.0, 1.0)),
         known_null_lines=(
-            NullLineSpec(Vec3M(0.0, 0.0, 0.0), Vec3M(1.0, 0.0, 1.0), "generator u=0"),
+            NullLineSpec("light_cone", (0.0, -10.0), (0.0, 10.0), "generator u=0"),
         ),
         notes="every point is a degenerate null point",
     )
@@ -379,8 +362,9 @@ _register(
         domain=((-4.0, 4.0), (0.25, 2.0)),
         known_null_lines=tuple(
             NullLineSpec(
-                Vec3M(k * math.pi, 0.0, 0.0),
-                Vec3M(0.0, 1.0, sign),
+                "hyperbolic_catenoid",
+                (k * math.pi, sign * 0.25),
+                (k * math.pi, sign * 10.25),
                 f"y = {'+t' if sign > 0 else '-t'} at x = {k} pi",
             )
             for k in (-1, 0, 1)
@@ -388,7 +372,8 @@ _register(
         ),
         notes="upper sheet of sin^2 x + y^2 = t^2; the sampling window "
         "y >= 0.25 keeps clear of the cone points (k pi, 0) where the graph "
-        "jets blow up; null columns along x = k pi",
+        "jets blow up; along x = k pi the sheet is t = |y|, so its null "
+        "lines are the half-lines |y| >= 0.25 of y = +t and y = -t",
     )
 )
 
@@ -400,7 +385,7 @@ _register(
         jet=_graph_entry_jet(_cone_type_graph_jet),
         domain=((-0.3, 0.3), (0.35, 0.9)),
         known_null_lines=(
-            NullLineSpec(Vec3M(0.0, 0.0, 0.0), _L_DIR, "y = t at x = 0"),
+            NullLineSpec("mixed_cone_type", (0.0, -10.0), (0.0, 10.0), "y = t at x = 0"),
         ),
         excluded=None,
         notes="Newton-solved graph branch through the null line y = t, "
@@ -417,7 +402,8 @@ _register(
         jet=_timelike_tanh_jet,
         domain=((0.0, 2.0 * math.pi), (0.25, 1.5)),
         known_null_lines=(
-            NullLineSpec(Vec3M(0.0, 0.0, 0.0), _L_DIR, "y = t at x = 0"),
+            NullLineSpec("timelike_tanh", (math.pi / 2, -10.0), (math.pi / 2, 10.0),
+                         "y = t at x = 0"),
         ),
         excluded=None,
         notes="cone point at t = 0 excluded by the sampling window; the "
@@ -433,8 +419,8 @@ _register(
         jet=_graph_entry_jet(_lightlike_plane_graph_jet),
         domain=((-2.0, 2.0), (-2.0, 2.0)),
         known_null_lines=(
-            NullLineSpec(Vec3M(0.0, 0.0, 0.0), _L_DIR, "y = t at x = 0"),
-            NullLineSpec(Vec3M(1.0, 0.0, 0.0), _L_DIR, "y = t at x = 1"),
+            NullLineSpec("lightlike_plane", (0.0, -10.0), (0.0, 10.0), "y = t at x = 0"),
+            NullLineSpec("lightlike_plane", (1.0, -10.0), (1.0, 10.0), "y = t at x = 1"),
         ),
         notes="the graph t = y",
     )
@@ -560,6 +546,9 @@ def corpus_verify(
     Light-like entries also sample B one step either side of each point in u
     and in v, and report the fraction of points that are degenerate null
     points: |B| <= 1e-8 with a central-difference gradient of norm <= 1e-7.
+    Each known null line is sampled on the surface at 21 points of its
+    parameter segment, and passes where they are finite and lie on one
+    straight light-like line (``null_line_check`` at line_tol).
     """
     if not 0 <= causal_tol < math.inf:
         raise ValueError(f"tol must be finite and nonnegative (got {causal_tol})")
@@ -596,8 +585,10 @@ def corpus_verify(
                 degenerate_fraction = int(np.count_nonzero(degenerate)) / b.size
         line_results = []
         for line in e.known_null_lines:
-            verdict = null_line_check(line.sample_points(21), tol=line_tol)
-            line_results.append((line.label, verdict.is_null_line))
+            points = line.sample_points(21)
+            finite = bool(np.isfinite(points).all())
+            ok = finite and null_line_check(points, tol=line_tol).is_null_line
+            line_results.append((line.label, ok))
         if not math.isfinite(worst):
             worst = None  # strict JSON has no NaN or inf
         residual_pass = worst is not None and worst <= residual_tol

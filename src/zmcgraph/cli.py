@@ -61,6 +61,13 @@ EXIT_IO = 4
 # keeps a few hundred bytes per point, so this caps it at a few hundred MB
 MAX_GRID_POINTS = 1_000_000
 
+# largest |e| --c takes in "1e<e>": Fraction("1e999999999") takes minutes, and
+# a c of over 4300 digits cannot be printed anyway (Python's int digit limit)
+MAX_EXPONENT = 4300
+
+# fewest points of a kind that make it part of the classify verdict
+MIN_VERDICT_POINTS = 5
+
 # the report's letter of each sign of B, indexed by the sign: 0, 1, -1
 _SIGN_LETTERS = np.frombuffer(b"nst", dtype="S1")
 
@@ -71,9 +78,20 @@ _SIGN_LETTERS = np.frombuffer(b"nst", dtype="S1")
 
 def _rational(text: str) -> Fraction:
     try:
+        if _exponent(text) > MAX_EXPONENT:
+            raise ValueError(f"a decimal exponent above {MAX_EXPONENT} in magnitude")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r} ({e})")
+
+
+def _exponent(text: str) -> int:
+    """|e| for a text that ends in "e<e>", else 0 (Fraction judges the rest)."""
+    _, mark, exp = text.lower().rpartition("e")
+    try:
+        return abs(int(exp)) if mark else 0
+    except ValueError:
+        return 0
 
 
 def _grid(text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -96,22 +114,6 @@ def _grid(text: str) -> tuple[np.ndarray, np.ndarray]:
     if len(xs) < 2 or len(ys) < 2:
         raise argparse.ArgumentTypeError("grid needs at least 2 points per axis")
     return xs, ys
-
-
-def _poly_str(p: RationalPoly) -> str:
-    if p.is_zero:
-        return "0"
-    terms = []
-    for d, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        if d == 0:
-            terms.append(str(c))
-        elif d == 1:
-            terms.append(f"{c}*y")
-        else:
-            terms.append(f"{c}*y^{d}")
-    return " + ".join(terms)
 
 
 def _load_series(path: str) -> GraphSeries:
@@ -144,7 +146,7 @@ def cmd_construct(args) -> int:
     _write_json(series_to_json(s), args.out)
     print(f"case {case.value}, c = {seed.c}, order {s.order}", file=sys.stderr)
     for k in sorted(s.betas):
-        print(f"  beta_{k} = {_poly_str(s.betas[k])}", file=sys.stderr)
+        print(f"  beta_{k} = {s.betas[k]}", file=sys.stderr)
     if s.order >= 8 and case is not SeriesCase.MIXED_I:
         note = beta8_sign_note(s)
         print(f"  note: {note['detail']}", file=sys.stderr)
@@ -156,13 +158,13 @@ def cmd_construct(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _summary_verdict(counts: dict[str, int], min_points: int = 5) -> str:
+def _summary_verdict(counts: dict[str, int]) -> str:
     ns, nt = counts["spacelike"], counts["timelike"]
-    if ns >= min_points and nt >= min_points:
+    if ns >= MIN_VERDICT_POINTS and nt >= MIN_VERDICT_POINTS:
         return "mixed type"
-    if ns >= min_points:
+    if ns >= MIN_VERDICT_POINTS:
         return "maximal type"
-    if nt >= min_points:
+    if nt >= MIN_VERDICT_POINTS:
         return "time-like"
     return "light-like"
 

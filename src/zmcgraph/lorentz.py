@@ -20,7 +20,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -119,14 +119,6 @@ def lorentz_normal(j: Jet2) -> Vec3M:
     return Vec3M(c.x, c.y, -c.t)
 
 
-def second_form(j: Jet2) -> np.ndarray:
-    nu = lorentz_normal(j)
-    q11 = minkowski_dot(j.f_uu, nu)
-    q12 = minkowski_dot(j.f_uv, nu)
-    q22 = minkowski_dot(j.f_vv, nu)
-    return np.array([[q11, q12], [q12, q22]], dtype=float)
-
-
 def zmc_residual(j: Jet2) -> float:
     """A = trace(adj(P) Q), zero exactly when the surface has zero mean curvature.
 
@@ -187,24 +179,6 @@ def graph_to_parametric(x: float, y: float, g: GraphJet) -> Jet2:
     )
 
 
-def linear_reparametrize(j: Jet2, J: Sequence[Sequence[float]]) -> Jet2:
-    """Pull a jet back through the linear coordinate change (s,w) -> J(s,w).
-
-    J = [[u_s, v_s], [u_w, v_w]].  B picks up det(J)^2 and A det(J)^3; the
-    sign of B and the zero set of A are invariant.
-    """
-    us, vs = J[0]
-    uw, vw = J[1]
-    fu, fv = np.array(j.f_u), np.array(j.f_v)
-    fuu, fuv, fvv = np.array(j.f_uu), np.array(j.f_uv), np.array(j.f_vv)
-    fs = us * fu + vs * fv
-    fw = uw * fu + vw * fv
-    fss = us * us * fuu + 2 * us * vs * fuv + vs * vs * fvv
-    fsw = us * uw * fuu + (us * vw + vs * uw) * fuv + vs * vw * fvv
-    fww = uw * uw * fuu + 2 * uw * vw * fuv + vw * vw * fvv
-    return Jet2(j.f, Vec3M(*fs), Vec3M(*fw), Vec3M(*fss), Vec3M(*fsw), Vec3M(*fww))
-
-
 # ---------------------------------------------------------------------------
 # causal classification
 # ---------------------------------------------------------------------------
@@ -221,27 +195,6 @@ def classify(B: float, tol: float = 1e-10) -> CausalVerdict:
     else:
         kind = Causal.NULL
     return CausalVerdict(kind, B, tol)
-
-
-def degenerate_test(
-    B_field: Callable[[float, float], float],
-    p: tuple[float, float],
-    h: float = 6.06e-6,
-    tol: float = 1e-10,
-    grad_tol: float = 1e-7,
-) -> bool:
-    """True when the null point p is degenerate: dB vanishes there too.
-
-    Uses a central-difference gradient with step h.  Raises if p is not a
-    null point of the field at tolerance tol.
-    """
-    u, v = p
-    b0 = B_field(u, v)
-    if abs(b0) > tol:
-        raise ValueError(f"not a null point: B = {b0!r} exceeds tol {tol!r}")
-    gu = (B_field(u + h, v) - B_field(u - h, v)) / (2.0 * h)
-    gv = (B_field(u, v + h) - B_field(u, v - h)) / (2.0 * h)
-    return math.hypot(gu, gv) <= grad_tol
 
 
 @dataclass(frozen=True)

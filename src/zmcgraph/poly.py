@@ -6,13 +6,13 @@ polynomial has an empty coefficient tuple).  All ring operations, the formal
 derivative and the zero-initial-data antiderivative are exact; rounding only
 enters when a polynomial is evaluated at a ``float`` argument, which uses
 Horner's rule in double precision.
+The constructor takes the strings of ``to_json`` back, and ``str(p)`` is the
+form ``zmc construct`` prints, such as "1/2 + -8*y^3".
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
-
-Rational = Fraction
+from typing import Iterable, Union
 
 CoeffLike = Union[Fraction, int, str]
 
@@ -39,14 +39,6 @@ class RationalPoly:
         object.__setattr__(self, "coeffs", tuple(cs))
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "RationalPoly":
-        return cls()
-
-    @classmethod
-    def constant(cls, c: CoeffLike) -> "RationalPoly":
-        return cls([c])
 
     @classmethod
     def monomial(cls, power: int, coeff: CoeffLike = 1) -> "RationalPoly":
@@ -79,9 +71,8 @@ class RationalPoly:
     def __bool__(self) -> bool:
         return not self.is_zero
 
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "RationalPoly(0)"
+    def __str__(self) -> str:
+        """The nonzero terms in ascending powers, as "-1/3*y + 4*y^3"; "0" if none."""
         terms = []
         for i, c in enumerate(self.coeffs):
             if c == 0:
@@ -89,10 +80,13 @@ class RationalPoly:
             if i == 0:
                 terms.append(f"{c}")
             elif i == 1:
-                terms.append(f"({c})*y")
+                terms.append(f"{c}*y")
             else:
-                terms.append(f"({c})*y^{i}")
-        return "RationalPoly(" + " + ".join(terms) + ")"
+                terms.append(f"{c}*y^{i}")
+        return " + ".join(terms) or "0"
+
+    def __repr__(self) -> str:
+        return f"RationalPoly({self})"
 
     # -- ring operations ----------------------------------------------
 
@@ -169,10 +163,6 @@ class RationalPoly:
     def to_json(self) -> list[str]:
         """Coefficient array of exact "p/q" strings, ascending powers."""
         return [str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, data: Sequence[str]) -> "RationalPoly":
-        return cls([Fraction(s) for s in data])
 
 
 ZERO_POLY = RationalPoly()

@@ -109,9 +109,6 @@ class GraphSeries:
     )
     _exact: list | None = field(default=None, init=False, repr=False, compare=False)
 
-    def beta(self, k: int) -> RationalPoly:
-        return self.betas[k]
-
     def _nonzero(self) -> list[tuple[int, RationalPoly]]:
         return [(k, self.betas[k]) for k in sorted(self.betas) if self.betas[k]]
 
@@ -652,8 +649,10 @@ def series_from_json(data: Mapping) -> GraphSeries:
 
     The schema is checked: the four keys, a case tag, rational strings for c
     and every coefficient, an integer order in 4..MAX_ORDER and an object of
-    coefficient arrays indexed 3..order.  Whether the coefficients are those
-    of the seed's series is not checked.
+    coefficient arrays indexed 3..order.  A rational string is "p" or "p/q"
+    in ASCII digits, as ``series_to_json`` writes it, so the int digit limit
+    bounds the work ("1e999999999" is not one).  Whether the coefficients are
+    those of the seed's series is not checked.
     """
     if not isinstance(data, Mapping):
         raise ValueError("coefficient file must hold a JSON object")
@@ -674,6 +673,8 @@ def series_from_json(data: Mapping) -> GraphSeries:
         raise ValueError("betas must be an object of coefficient arrays")
     betas = {k: ZERO_POLY for k in range(3, order + 1)}
     for key, arr in data["betas"].items():
+        if not _is_int(key):
+            raise ValueError(f"betas key {key!r} is not an integer")
         k = int(key)
         if not 3 <= k <= order:
             raise ValueError(f"coefficient index {k} outside 3..{order}")
@@ -688,9 +689,23 @@ def _json_rationals(items: list, name: str) -> list[Fraction]:
     if not set(map(type, items)) <= {str}:
         raise ValueError(f"{name} must hold rational strings (got {items!r})")
     try:
-        return [Fraction(a) for a in items]
+        return [_json_rational(a) for a in items]
     except (ValueError, ZeroDivisionError) as e:
         raise ValueError(f"{name} holds a string that is not a rational ({e})") from None
+
+
+def _json_rational(text: str) -> Fraction:
+    """The Fraction of "p" or "p/q" in ASCII digits, as ``str(Fraction)`` writes it."""
+    p, slash, q = text.partition("/")
+    if not (_is_int(p) and (not slash or (q.isascii() and q.isdigit()))):
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    return Fraction(int(p), int(q)) if slash else Fraction(int(p))
+
+
+def _is_int(text: str) -> bool:
+    """Whether text is ASCII digits after an optional "-"."""
+    digits = text.removeprefix("-")
+    return digits.isascii() and digits.isdigit()
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Reference: the surface corpus checked one point at a time.
 
 ``catalog.corpus_verify`` samples each entry with one array jet call; this is
-the per-point loop over scalar jets it replaced, kept to check it against.
+the per-point loop over scalar jets it replaced, kept to check it against,
+with the scalar B field and degenerate-null test it used.
 """
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -15,11 +17,37 @@ from zmcgraph.catalog import (
 )
 from zmcgraph.lorentz import (
     classify,
-    degenerate_test,
     first_form,
+    first_form_det,
     null_line_check,
     zmc_residual,
 )
+
+
+def B_field(e):
+    """B of entry e as a function of (u, v), one scalar jet per call."""
+    return lambda u, v: first_form_det(e.jet(u, v))
+
+
+def degenerate_test(
+    field: Callable[[float, float], float],
+    p: tuple[float, float],
+    h: float = 6.06e-6,
+    tol: float = 1e-10,
+    grad_tol: float = 1e-7,
+) -> bool:
+    """True when the null point p is degenerate: dB vanishes there too.
+
+    Uses a central-difference gradient with step h.  Raises if p is not a
+    null point of the field at tolerance tol.
+    """
+    u, v = p
+    b0 = field(u, v)
+    if abs(b0) > tol:
+        raise ValueError(f"not a null point: B = {b0!r} exceeds tol {tol!r}")
+    gu = (field(u + h, v) - field(u - h, v)) / (2.0 * h)
+    gv = (field(u, v + h) - field(u, v - h)) / (2.0 * h)
+    return math.hypot(gu, gv) <= grad_tol
 
 
 def scalar_jet_scale(j):
@@ -47,7 +75,7 @@ def corpus_verify_loop(
         worst = 0.0
         hist = {"spacelike": 0, "timelike": 0, "null": 0}
         n_deg = n_pts = 0
-        b_field = e.B_field() if e.expected_causal == "lightlike" else None
+        b_field = B_field(e) if e.expected_causal == "lightlike" else None
         for u in us:
             for v in vs:
                 if e.excluded is not None and e.excluded(u, v):
@@ -61,7 +89,10 @@ def corpus_verify_loop(
                     n_deg += degenerate_test(b_field, (u, v), tol=1e-8)
         line_results = []
         for line in e.known_null_lines:
-            verdict = null_line_check(line.sample_points(21), tol=line_tol)
+            (u0, v0), (u1, v1) = line.start, line.end
+            us, vs = np.linspace(u0, u1, 21).tolist(), np.linspace(v0, v1, 21).tolist()
+            points = [e.jet(u, v).f for u, v in zip(us, vs)]
+            verdict = null_line_check(points, tol=line_tol)
             line_results.append((line.label, verdict.is_null_line))
         residual_pass = worst <= residual_tol
         causal_pass = _histogram_matches(e.expected_causal, hist)

@@ -17,7 +17,6 @@ from zmcgraph.catalog import (
     cone_type_implicit,
     corpus_verify,
     entry,
-    hyperbolic_catenoid_height,
     implicit_solve,
     sample_grid,
 )
@@ -57,8 +56,8 @@ class TestPointChecks:
 
     def test_hyperbolic_catenoid_point(self):
         x, y = math.pi, 0.7
-        assert hyperbolic_catenoid_height(x, y) == pytest.approx(0.7, rel=1e-12)
         j = entry("hyperbolic_catenoid").jet(x, y)
+        assert j.f.t == pytest.approx(0.7, rel=1e-12)
         # tangent along y at this point is light-like
         assert minkowski_dot(j.f_v, j.f_v) == pytest.approx(0.0, abs=1e-12)
 
@@ -82,41 +81,37 @@ class TestImplicitSolve:
         def F(x, y, t):
             return math.sin(x) ** 2 + y * y - t * t
 
-        t = implicit_solve(F, math.pi / 2, 0.0, 1.3)
+        t = implicit_solve(F, math.pi / 2, 0.0, 1.3, lambda x, y, t: -2.0 * t)
         assert t == pytest.approx(1.0, rel=1e-12)
-
-    def test_numeric_derivative_fallback(self):
-        t = implicit_solve(cone_type_implicit, 0.1, 0.6, 0.59)
-        assert cone_type_implicit(0.1, 0.6, t) == pytest.approx(0.0, abs=1e-12)
 
     def test_divergence_raises(self):
         # no root anywhere; the derivative flattens out and Newton runs away
         with pytest.raises(ImplicitSolveError):
-            implicit_solve(lambda x, y, t: math.tanh(t) - 2.0, 0.0, 0.0, 5.0)
+            implicit_solve(lambda x, y, t: math.tanh(t) - 2.0, 0.0, 0.0, 5.0,
+                           lambda x, y, t: 1.0 - math.tanh(t) ** 2)
 
     def test_vanishing_derivative_raises(self):
         with pytest.raises(ImplicitSolveError, match="derivative"):
-            implicit_solve(lambda x, y, t: 1.0 + t * t, 0.0, 0.0, 0.0)
+            implicit_solve(lambda x, y, t: 1.0 + t * t, 0.0, 0.0, 0.0,
+                           lambda x, y, t: 2.0 * t)
 
-    @pytest.mark.parametrize("exact_derivative", [True, False])
-    def test_array_equals_scalar_solves(self, exact_derivative):
+    def test_array_equals_scalar_solves(self):
         # seeds near and far from the root, so points stop at different steps;
         # x = 0 is on the null line and stops before the first step
         X, Y = np.meshgrid(np.linspace(-0.3, 0.3, 13), np.linspace(0.35, 0.9, 11),
                            indexing="ij")
         seed = Y - 0.5 * X * X * np.tan(Y) + np.where(X > 0.1, 0.05, 0.0)
-        dt = cone_type_dt if exact_derivative else None
-        T = implicit_solve(cone_type_implicit, X, Y, seed, dt)
+        T = implicit_solve(cone_type_implicit, X, Y, seed, cone_type_dt)
         assert T.shape == X.shape and T.dtype == float
         expect = [
-            implicit_solve(cone_type_implicit, x, y, t, dt)
+            implicit_solve(cone_type_implicit, x, y, t, cone_type_dt)
             for x, y, t in zip(X.ravel().tolist(), Y.ravel().tolist(),
                                seed.ravel().tolist())
         ]
         assert T.ravel().tobytes() == np.array(expect).tobytes()
         # a scalar seed is broadcast against array coordinates
-        T = implicit_solve(cone_type_implicit, X[:, 4], 0.6, 0.59, dt)
-        expect = [implicit_solve(cone_type_implicit, x, 0.6, 0.59, dt)
+        T = implicit_solve(cone_type_implicit, X[:, 4], 0.6, 0.59, cone_type_dt)
+        expect = [implicit_solve(cone_type_implicit, x, 0.6, 0.59, cone_type_dt)
                   for x in X[:, 4].tolist()]
         assert T.tobytes() == np.array(expect).tobytes()
 
@@ -132,7 +127,8 @@ class TestImplicitSolve:
             implicit_solve(cone_type_implicit, xs, ys, seeds, cone_type_dt)
         assert str(array.value) == str(scalar.value)
         with pytest.raises(ImplicitSolveError, match="derivative near t = 0.0 at"):
-            implicit_solve(lambda x, y, t: 1.0 + t * t, 0.0, 0.0, np.array([1.0, 0.0]))
+            implicit_solve(lambda x, y, t: 1.0 + t * t, 0.0, 0.0, np.array([1.0, 0.0]),
+                           lambda x, y, t: 2.0 * t)
 
 
 class TestConeTypeBranch:
@@ -295,6 +291,32 @@ class TestCorpus:
         rows = json.loads(out.read_text(), parse_constant=reject)
         (plane,) = [r for r in rows if r["name"] == "lightlike_plane"]
         assert plane["max_scaled_residual"] is None and plane["pass"] is False
+
+    @pytest.mark.parametrize("wrong", ["surface", "hole", "line"])
+    def test_null_line_rows_sample_the_surface(self, monkeypatch, wrong):
+        # "surface": the space-like plane t = y/2 under the light-like plane's
+        # registered lines, which it does not contain; "hole": the plane t = y
+        # with a NaN height at (0, 0), a sample of the line x = 0; "line": a
+        # segment of the plane t = y whose image (s, s, s) is space-like
+        e = entry("lightlike_plane")
+        if wrong == "surface":
+            e = dataclasses.replace(e, jet=lambda x, y: graph_to_parametric(
+                x, y, GraphJet(0.5 * y, 0.0, 0.5, 0.0, 0.0, 0.0)))
+        elif wrong == "hole":
+            e = dataclasses.replace(e, jet=lambda x, y: graph_to_parametric(
+                x, y, GraphJet(y + np.where((x == 0.0) & (y == 0.0), np.nan, 0.0),
+                               0.0, 1.0, 0.0, 0.0, 0.0)))
+        else:
+            line = catalog.NullLineSpec(
+                "lightlike_plane", (-10.0, -10.0), (10.0, 10.0), "the diagonal x = y"
+            )
+            e = dataclasses.replace(e, known_null_lines=e.known_null_lines + (line,))
+        monkeypatch.setitem(catalog._ENTRIES, "lightlike_plane", e)
+        (row,) = corpus_verify(names=["lightlike_plane"])
+        assert not row.null_pass and not row.passed
+        assert [ok for _, ok in row.null_lines] == {
+            "surface": [False, False], "hole": [False, True], "line": [True, True, False]
+        }[wrong]
 
     def test_null_line_samples_span_ten(self):
         line = entry("hyperbolic_catenoid").known_null_lines[0]

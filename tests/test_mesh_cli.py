@@ -4,7 +4,10 @@ import contextlib
 import io
 import json
 import struct
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,7 +105,7 @@ class TestConstructCommand:
         again = tmp_path / "again.json"
         assert run("construct", "--case", "ii", "--c", "-1", "--order", "12",
                    "--out", str(again)) == 0
-        assert json.load(open(coeffs_ii)) == json.load(open(str(again)))
+        assert json.loads(Path(coeffs_ii).read_text()) == json.loads(again.read_text())
 
     def test_sign_violations_exit_2(self, capsys):
         assert run("construct", "--case", "ii", "--c", "1") == 2
@@ -112,12 +115,12 @@ class TestConstructCommand:
         assert run("construct", "--case", "iii", "--c", "0") == 2
 
     def test_mixed_case_emits_cubic_seed(self, coeffs_i):
-        data = json.load(open(coeffs_i))
+        data = json.loads(Path(coeffs_i).read_text())
         assert data["betas"]["3"] == ["0", "3"]
         assert data["case"] == "i"
 
     def test_quartic_table(self, coeffs_ii):
-        data = json.load(open(coeffs_ii))
+        data = json.loads(Path(coeffs_ii).read_text())
         assert data["betas"]["4"] == ["0", "-4"]
         assert data["betas"]["6"] == ["0", "0", "0", "-8"]
         assert "5" not in data["betas"]
@@ -128,7 +131,7 @@ class TestClassifyCommand:
         out = tmp_path / "report.json"
         assert run("classify", "--coeffs", coeffs_ii, "--out", str(out)) == 0
         assert "maximal type" in capsys.readouterr().out
-        data = json.load(open(str(out)))
+        data = json.loads(out.read_text())
         assert data["verdict"] == "maximal type"
         assert data["counts"]["timelike"] == 0
         assert data["exact_fallbacks"] == 0
@@ -149,7 +152,7 @@ class TestClassifyCommand:
         out = tmp_path / "r.json"
         run("classify", "--coeffs", coeffs_i, "--grid=-0.05:0.05:9,-0.5:0.5:9",
             "--out", str(out))
-        data = json.load(open(str(out)))
+        data = json.loads(out.read_text())
         assert data["verdict"] == "mixed type"
         assert data["counts"]["spacelike"] >= 5
         assert data["counts"]["timelike"] >= 5
@@ -158,7 +161,7 @@ class TestClassifyCommand:
         out = tmp_path / "r.json"
         assert run("classify", "--surface", "catalog:lightlike_plane",
                    "--out", str(out)) == 0
-        data = json.load(open(str(out)))
+        data = json.loads(out.read_text())
         assert data["verdict"] == "light-like"
         assert data["counts"]["spacelike"] == 0 == data["counts"]["timelike"]
         assert "exact_fallbacks" not in data  # float signs
@@ -212,6 +215,9 @@ MALFORMED = [
     (lambda d: d["betas"].update({"4": ["0", "four"]}),
      "beta_4 holds a string that is not a rational"),
     (lambda d: d.update(order=3, betas={}), "order must be at least 4"),
+    (lambda d: d["betas"].update({"4": ["0", "1e5000"]}),
+     "beta_4 holds a string that is not a rational (Invalid literal for "
+     "Fraction: '1e5000')"),
 ]
 
 
@@ -220,7 +226,7 @@ class TestMalformedCoefficientFile:
     @pytest.mark.parametrize("change,message", MALFORMED)
     def test_exits_2_with_message(self, coeffs_ii, command, change, message,
                                   tmp_path, capsys):
-        data = json.load(open(coeffs_ii))
+        data = json.loads(Path(coeffs_ii).read_text())
         change(data)
         bad, out = tmp_path / "bad.json", tmp_path / "out.ply"
         bad.write_text(json.dumps(data))
@@ -241,7 +247,7 @@ class TestBoundsCommand:
         assert run("bounds", "--c", "1", "--delta", "1", "--out", str(out)) == 0
         text = capsys.readouterr().out
         assert "NOT in" in text
-        data = json.load(open(str(out)))
+        data = json.loads(out.read_text())
         assert data["certificate"]["M"] == pytest.approx(1162.6, abs=0.5)
         w = data["halfwidths"]
         assert w["4.0"] < w["2.0"] < w["1.0"] <= w["0.0"]
@@ -256,7 +262,7 @@ class TestVerifyCommand:
     def test_recursion_suite(self, tmp_path):
         out = tmp_path / "rows.json"
         assert run("verify", "--suite", "recursion", "--out", str(out)) == 0
-        rows = json.load(open(str(out)))
+        rows = json.loads(out.read_text())
         info = [r for r in rows if r.get("kind") == "info"]
         assert len(info) == 1 and info[0]["name"] == "beta8-sign"
         assert all(r["pass"] for r in rows if "pass" in r)
@@ -268,7 +274,7 @@ class TestVerifyCommand:
         # every row, including corpus rows, must be plain-JSON serializable
         out = tmp_path / "all.json"
         assert run("verify", "--suite", "all", "--out", str(out)) == 0
-        rows = json.load(open(str(out)))
+        rows = json.loads(out.read_text())
         assert sum(r.get("kind") == "info" for r in rows) == 1
         assert {r["suite"] for r in rows} == {"recursion", "growth", "corpus"}
 
@@ -308,7 +314,7 @@ def run_sequence(d, fresh: bool) -> list:
             except SystemExit as e:
                 rc = e.code
         out = argv[-1].format(d=d)
-        data = open(out, "rb").read() if "--out" in argv else None
+        data = Path(out).read_bytes() if "--out" in argv else None
         results.append((rc, stdout.getvalue(), data))
     return results
 
@@ -351,7 +357,7 @@ class TestMeshCommand:
         out = tmp_path / "b.ply"
         assert run("mesh", "--surface", "catalog:elliptic_catenoid",
                    "--grid", "0:6:5,-1:1:5", "--ply-binary", "--out", str(out)) == 0
-        data = open(str(out), "rb").read()
+        data = out.read_bytes()
         assert b"binary_little_endian" in data
         assert len(read_ply(str(out)).vertices) == 25
 
@@ -407,11 +413,11 @@ class TestSeriesSigns:
         assert run("construct", "--case", case, "--c", c, "--out", str(coeffs)) == 0
         assert run("mesh", "--coeffs", str(coeffs), "--out", str(ply)) == 0
         assert run("classify", "--coeffs", str(coeffs), "--out", str(report)) == 0
-        s = series_from_json(json.load(open(coeffs)))
+        s = series_from_json(json.loads(coeffs.read_text()))
         signs = causal_signs(s, *certified_axes(s, 33))[0]
         m = read_ply(str(ply))
         assert [tuple(v) for v in m.vertices[:, 3:]] == sign_colours(signs)
-        data = json.load(open(report))
+        data = json.loads(report.read_text())
         signs = causal_signs(s, *certified_axes(s, 21))[0]
         want = {"spacelike": 1, "timelike": -1, "null": 0}
         assert data["counts"] == {k: int((signs == v).sum()) for k, v in want.items()}
@@ -795,3 +801,30 @@ class TestArgumentErrors:
         assert run(*argv) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--c=1e5000"],
+        ["bounds", "--c=1e999999999"],
+        ["construct", "--case", "iii", "--c=1e-999999999"],
+    ])
+    def test_huge_exponent_is_a_parse_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "not a rational number" in err and "exponent above 4300" in err
+
+    def test_huge_exponents_exit_2_at_once(self, tmp_path):
+        # Fraction("1e999999999") alone takes minutes; each of these exits 2
+        # in about the time an interpreter takes to start
+        coeffs = tmp_path / "c.json"
+        coeffs.write_text(
+            json.dumps({"case": "iii", "c": "1e999999999", "order": 8, "betas": {}})
+        )
+        for argv in (["bounds", "--c=1e999999999"],
+                     ["construct", "--case", "iii", "--c=1e-999999999"],
+                     ["classify", "--coeffs", str(coeffs)]):
+            out = subprocess.run([sys.executable, "-m", "zmcgraph.cli", *argv],
+                                 capture_output=True, text=True, timeout=30)
+            assert out.returncode == 2, out.stderr
+            assert "not a rational" in out.stderr

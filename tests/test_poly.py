@@ -147,14 +147,20 @@ class TestSerialization:
     def test_fraction_strings_stay_exact(self):
         p = rp(Fraction(1, 2), Fraction(-100, 3))
         assert p.to_json() == ["1/2", "-100/3"]
-        assert RationalPoly.from_json(p.to_json()) == p
+        assert RationalPoly(p.to_json()) == p
 
     def test_round_trip_random(self):
         rng = random.Random(29)
         for _ in range(50):
             p = random_poly(rng)
-            assert RationalPoly.from_json(p.to_json()) == p
+            assert RationalPoly(p.to_json()) == p
+
+    def test_str_is_the_construct_form(self):
+        assert str(rp(Fraction(1, 2), 0, 0, -8)) == "1/2 + -8*y^3"
+        assert str(rp(0, Fraction(-1, 3))) == "-1/3*y"
+        assert str(ZERO_POLY) == "0"
+        assert repr(rp(0, 4)) == "RationalPoly(4*y)"
 
     def test_zero_poly_round_trip(self):
         assert ZERO_POLY.to_json() == []
-        assert RationalPoly.from_json([]) == ZERO_POLY
+        assert RationalPoly([]) == ZERO_POLY

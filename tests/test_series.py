@@ -496,6 +496,8 @@ class TestInterchangeFormat:
         (lambda d: d.update(order="8"), "order must be an integer"),
         (lambda d: d.update(order=8.0), "order must be an integer"),
         (lambda d: d.update(case="iv"), "not a valid SeriesCase"),
+        (lambda d: d["betas"].update({"x": ["1"]}), "betas key 'x' is not an integer"),
+        (lambda d: d["betas"].update({" 4": ["1"]}), "betas key ' 4' is not an integer"),
     ])
     def test_malformed_file_rejected(self, series_iii_c1_n8, change, message):
         data = series_to_json(series_iii_c1_n8)
@@ -507,6 +509,30 @@ class TestInterchangeFormat:
         for data in ([], "iii", None):
             with pytest.raises(ValueError, match="JSON object"):
                 series_from_json(data)
+
+    @pytest.mark.parametrize("name", ["c", "beta_6"])
+    @pytest.mark.parametrize("text", [
+        "1e5000", "1e999999999", "1.5", "1/2.0", " 1/2", "+1", "1/-2", "1/", "--1",
+        "1_000", "\u0663",
+    ])
+    def test_only_the_written_form_parses(self, series_iii_c1_n8, name, text):
+        # series_to_json writes "p" or "p/q" in ASCII digits; Fraction takes
+        # more, "1e999999999" too, which it spends minutes expanding
+        data = series_to_json(series_iii_c1_n8)
+        if name == "c":
+            data["c"] = text
+        else:
+            data["betas"]["6"] = ["0", text]
+        with pytest.raises(ValueError, match=f"{name} holds a string that is not a rational"):
+            series_from_json(data)
+
+    def test_written_forms_parse(self, series_iii_c1_n8):
+        data = series_to_json(series_iii_c1_n8)
+        data["c"] = "2/4"
+        data["betas"]["6"] = ["-0", "007", "-3/4"]
+        s = series_from_json(data)
+        assert s.seed.c == Fraction(1, 2)
+        assert s.betas[6] == RationalPoly([0, 7, Fraction(-3, 4)])
 
 
 class TestBeta8Note:
